@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GeometryError, ProjectionError, RankError
-from .geometry import DirectionGrid, build_grid, unit_vectors
+from .geometry import DirectionGrid, _check_axis, build_grid, unit_vectors
 from .nsphere import unit_ball_volume, unit_sphere_area
-from .stationary import StationaryParams, radial_profile
-from .thickness import ORIGIN_EXCLUSION, StarShape
+from .stationary import StationaryParams, _radial_from_cos
+from .thickness import StarShape, _check_section_dim
 
 __all__ = [
     "DeformationSample",
@@ -40,22 +40,14 @@ RANK_THRESHOLD = 1e-8
 PROJECTION_TOL = 1e-14
 
 
-def _check_axis(axis, n):
-    a = np.asarray(axis, dtype=float)
-    if a.shape != (n,) or abs(np.linalg.norm(a) - 1.0) > 1e-10:
-        raise DomainError(f"axis must be a unit vector in R^{n}")
-    return a
-
-
 def stationary_shape(params: StationaryParams) -> StarShape:
     """Radial-function view of a stationary profile, cusp axis along +x1.
 
-    The profile depends on the first angle only (axisymmetry); for n = 2 the
-    lone angle is the azimuth, whose cosine plays the same role.
+    The profile depends on cos(theta) = u_1 only (axisymmetry about x1).
     """
 
-    def radial_fn(angles):
-        return radial_profile(params, np.asarray(angles, dtype=float)[:, 0])
+    def radial_fn(u):
+        return _radial_from_cos(params, u[:, 0])
 
     return StarShape(
         params.n, radial_fn, name=f"stationary:{params.shape_class.value}"
@@ -72,15 +64,14 @@ def stationarity_residual(
     exactly when the shape is stationary with these multipliers.
     """
     n = shape.dimension
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < n:
-        raise DomainError(f"section dimension must satisfy 1 <= m < {n}, got {m!r}")
+    _check_section_dim(m, n)
     if grid.dimension != n:
         raise DomainError(f"grid dimension {grid.dimension} != shape dimension {n}")
     a = _check_axis(axis, n)
     worst = 0.0
-    for ang, _ in grid.iter_blocks():
-        r = shape.radial(ang)
-        cos_t = unit_vectors(ang) @ a
+    for u, _ in grid.iter_blocks():
+        r = shape.radial(u)
+        cos_t = u @ a
         lead = r ** (m - 1)
         res = np.abs(lead - lam * r ** (n - 1) - mu * r**n * cos_t) / lead
         worst = max(worst, float(res.max()))
@@ -110,15 +101,16 @@ class DeformationSample:
             raise DomainError(
                 f"need exactly n+2 = {count} points with {self.n - 1} angles each"
             )
-        if not 1 <= self.m < self.n:
-            raise DomainError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
+        _check_section_dim(self.m, self.n)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angles", angles)
 
     @classmethod
     def from_shape(cls, shape: StarShape, m: int, angles) -> "DeformationSample":
         angles = np.asarray(angles, dtype=float)
-        return cls(n=shape.dimension, m=m, radii=shape.radial(angles), angles=angles)
+        return cls(
+            n=shape.dimension, m=m, radii=shape.radial(unit_vectors(angles)), angles=angles
+        )
 
     def matrix(self) -> np.ndarray:
         r = self.radii
@@ -227,8 +219,7 @@ def sphere_optimality_test(
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < n:
-        raise DomainError(f"need 1 <= m < n, got m={m!r}")
+    _check_section_dim(m, n)
     if not isinstance(trials, int) or trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     if not 0.0 <= amplitude <= 0.1:
@@ -236,9 +227,8 @@ def sphere_optimality_test(
     if resolution is None:
         resolution = {2: 64, 3: 48}.get(n, 32)
     grid = build_grid(n, resolution)
-    ang = grid.angles()
+    u = grid.directions()
     w = grid.weights()
-    u = unit_vectors(ang)
     coef = unit_ball_volume(m) / unit_sphere_area(n - 1)
     t_ball = coef * float(w.sum())
     v_ball = unit_ball_volume(n)
@@ -301,6 +291,9 @@ class DumbbellConfig:
     @property
     def radius_far(self) -> float:
         return math.sqrt(self.area_far / math.pi)
+
+
+ORIGIN_EXCLUSION = 1e-12  # near-disc sampling radius below which points are redrawn
 
 
 def _disc_mean_inverse_distance(rng, radius, center_x, count):

@@ -32,7 +32,7 @@ from .analysis import (
     stationary_shape,
 )
 from .errors import DomainError, HyperthickError, RankError
-from .geometry import build_grid
+from .geometry import build_grid, cartesian_to_spherical
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .properties import (
     body_properties,
@@ -190,8 +190,10 @@ def _shape_from_file(path: str) -> StarShape:
         tuple(coords), values, method="linear", bounds_error=False, fill_value=None
     )
 
-    def radial_fn(angles):
-        return np.atleast_1d(interp(np.asarray(angles, dtype=float)))
+    def radial_fn(u):
+        # the table lives on the angle chart: convert directions on the way in
+        _, angles = cartesian_to_spherical(u)
+        return np.atleast_1d(interp(angles))
 
     return StarShape(n, radial_fn, name=f"file:{os.path.basename(path)}")
 

@@ -15,8 +15,10 @@ density sin^{n-2}(phi_1) sin^{n-3}(phi_2) ... sin(phi_{n-2}).
 Quadrature grids are tensor products: Gauss-Jacobi nodes in cos(phi_i) for
 each polar angle (the sin-power density is the Jacobi weight function, so
 weight sums are exact) and a uniform trapezoid rule in the azimuth. Grids are
-stored in factored per-axis form; dense enumeration happens in blocks so large
-grids never materialize all at once.
+stored in factored per-axis form; dense enumeration happens in blocks of unit
+direction vectors, so large grids never materialize all at once. Angles are
+the chart that builds grids and reads shape tables; everything that evaluates
+a radius works on the unit vectors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, ConvergenceError, DomainError
 from .nsphere import unit_sphere_area
 
 __all__ = [
@@ -208,12 +210,14 @@ class DirectionGrid:
         }
 
     def iter_blocks(self, max_block: int = DEFAULT_BLOCK):
-        """Yield (angles, weights) blocks covering the full tensor product.
+        """Yield (u, weights) blocks covering the full tensor product.
 
-        ``angles`` is (B, n-1) and ``weights`` is (B,). Both arrays are reused
-        between blocks; copy them if they must outlive one iteration. Blocks
-        are aligned with the trailing axes so enumeration is mostly array
-        reuse rather than integer arithmetic per node.
+        ``u`` is the (B, n) array of unit direction vectors and ``weights``
+        is (B,). Both arrays are reused between blocks; copy them if they
+        must outlive one iteration. Blocks are aligned with the trailing
+        axes: the unit vectors of the trailing sub-chart are built once from
+        per-axis cosine and sine tables, and each block only scales them by
+        the leading angles' sine product, so no node pays for trigonometry.
         """
         sizes = [nodes.size for nodes, _ in self.axes]
         num_axes = len(sizes)
@@ -225,56 +229,69 @@ class DirectionGrid:
             t += 1
         q = num_axes - t  # prefix axes enumerated one combination per block
 
-        tail_nodes = [self.axes[q + j][0] for j in range(t)]
-        tail_weights = [self.axes[q + j][1] for j in range(t)]
-        mesh = np.meshgrid(*tail_nodes, indexing="ij")
-        tail_angles = np.stack([g.reshape(-1) for g in mesh], axis=1)
-        tw = tail_weights[0]
-        for wnext in tail_weights[1:]:
+        cos_tab = [np.cos(nodes) for nodes, _ in self.axes]
+        sin_tab = [np.sin(nodes) for nodes, _ in self.axes]
+        # unit vectors of the trailing sub-chart, one row per component
+        tail_shape = sizes[q:]
+        tail_u = np.empty((t + 1, tail_size))
+        running = np.ones([1] * t)
+        for j in range(t):
+            axis_shape = [1] * t
+            axis_shape[j] = sizes[q + j]
+            tail_u[j] = np.broadcast_to(
+                running * cos_tab[q + j].reshape(axis_shape), tail_shape
+            ).reshape(-1)
+            running = running * sin_tab[q + j].reshape(axis_shape)
+        tail_u[t] = np.broadcast_to(running, tail_shape).reshape(-1)
+        tw = self.axes[q][1]
+        for _, wnext in self.axes[q + 1 :]:
             tw = (tw[:, None] * wnext[None, :]).reshape(-1)
 
-        buf = np.empty((tail_size, num_axes))
-        buf[:, q:] = tail_angles
+        # component-major buffer: each direction cosine is one contiguous row
+        ubuf = np.empty((num_axes + 1, tail_size))
         wbuf = np.empty(tail_size)
 
         prefix_sizes = sizes[:q]
         total_prefix = 1
         for s in prefix_sizes:
             total_prefix *= s
+        idx = [0] * q
         for flat in range(total_prefix):
             rem = flat
             scale = 1.0
             for col in range(q - 1, -1, -1):
-                j = rem % prefix_sizes[col]
+                idx[col] = rem % prefix_sizes[col]
                 rem //= prefix_sizes[col]
-                buf[:, col] = self.axes[col][0][j]
-                scale *= self.axes[col][1][j]
+                scale *= self.axes[col][1][idx[col]]
+            sin_prod = 1.0
+            for col in range(q):
+                ubuf[col].fill(sin_prod * cos_tab[col][idx[col]])
+                sin_prod *= sin_tab[col][idx[col]]
+            np.multiply(tail_u, sin_prod, out=ubuf[q:])
             np.multiply(tw, scale, out=wbuf)
-            yield buf, wbuf
+            yield ubuf.T, wbuf
+
+    def _check_limit(self, limit: int) -> None:
+        if self.node_count > limit:
+            raise BudgetError(
+                f"{self.node_count} nodes exceed the materialization limit {limit}"
+            )
 
     def angles(self, limit: int = 1 << 24) -> np.ndarray:
-        """Materialize every node's angles as one (N, n-1) array."""
-        n = self.node_count
-        if n > limit:
-            raise BudgetError(f"{n} nodes exceed the materialization limit {limit}")
-        out = np.empty((n, len(self.axes)))
-        pos = 0
-        for ang, _ in self.iter_blocks():
-            out[pos : pos + ang.shape[0]] = ang
-            pos += ang.shape[0]
-        return out
+        """Materialize every node's angles as one (N, n-1) array, in block order."""
+        self._check_limit(limit)
+        mesh = np.meshgrid(*[nodes for nodes, _ in self.axes], indexing="ij")
+        return np.stack([g.reshape(-1) for g in mesh], axis=1)
+
+    def directions(self, limit: int = 1 << 24) -> np.ndarray:
+        """Materialize every node's unit vector as one (N, n) array."""
+        self._check_limit(limit)
+        return np.concatenate([u.copy() for u, _ in self.iter_blocks()])
 
     def weights(self, limit: int = 1 << 26) -> np.ndarray:
         """Materialize every node's weight as one (N,) array."""
-        n = self.node_count
-        if n > limit:
-            raise BudgetError(f"{n} nodes exceed the materialization limit {limit}")
-        out = np.empty(n)
-        pos = 0
-        for _, w in self.iter_blocks():
-            out[pos : pos + w.shape[0]] = w
-            pos += w.shape[0]
-        return out
+        self._check_limit(limit)
+        return np.concatenate([w.copy() for _, w in self.iter_blocks()])
 
 
 def build_grid(
@@ -321,5 +338,9 @@ def build_grid(
         node_budget=node_budget,
     )
     # cheap self-check: the factored weight sum must reproduce the sphere area
-    assert abs(grid.sum_weights() / unit_sphere_area(n - 1) - 1.0) < 1e-12
+    total, area = grid.sum_weights(), unit_sphere_area(n - 1)
+    if not abs(total / area - 1.0) < 1e-12:
+        raise ConvergenceError(
+            f"quadrature weights sum to {total!r}, not the sphere area {area!r}"
+        )
     return grid

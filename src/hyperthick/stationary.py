@@ -229,10 +229,13 @@ def radial_profile(params: StationaryParams, theta):
     directions without a positive root raise.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    single = theta_arr.ndim == 0
-    t = np.atleast_1d(theta_arr)
+    r = _radial_from_cos(params, np.cos(np.atleast_1d(theta_arr)))
+    return float(r[0]) if theta_arr.ndim == 0 else r
+
+
+def _radial_from_cos(params: StationaryParams, cos_t: np.ndarray) -> np.ndarray:
+    """Boundary radii for a 1-D array of cos(theta); the core of radial_profile."""
     k, lam, mu, e = params.k, params.lam, params.mu, params.ecc
-    cos_t = np.cos(t)
     q = e * cos_t
     if e <= 1.0:
         q = np.clip(q, -1.0, 1.0)  # guards rounding at the tangency
@@ -262,7 +265,7 @@ def radial_profile(params: StationaryParams, theta):
         raise ConvergenceError(
             f"stationary-equation residual {res.max():.3e} exceeds {RESIDUAL_TOL}"
         )
-    return float(r[0]) if single else r
+    return r
 
 
 def cylindrical_radius(params: StationaryParams, z):

@@ -9,9 +9,15 @@ integral:
 
 with V_m the unit m-ball volume and S_{n-1} the sphere area. Volume and
 centroid are the analogous integrals of f^n/n and f^{n+1}/(n+1) times the
-direction cosines. For bodies given only by an indicator function the same
-thickness is estimated by Monte Carlo over the volume element, where each
-volume element at distance r contributes proportionally to r^{m-n}.
+direction cosines. Directions are unit vectors u in R^n throughout: radial
+functions take a (B, n) batch of them and quadrature grids yield them in
+blocks.
+
+For bodies given only by an indicator function the same thickness is
+estimated by Monte Carlo straight from the radial form: a uniform direction u
+and a radius r with density proportional to r^(m-1) on [0, R] make
+V_m R^m * 1[r u in body] an unbiased estimate of T, a Bernoulli mean whose
+variance is bounded.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
@@ -28,12 +35,7 @@ from .errors import (
     DomainError,
     InsufficientSamplingError,
 )
-from .geometry import (
-    DirectionGrid,
-    cartesian_to_spherical,
-    frame_from_pole,
-    unit_vectors,
-)
+from .geometry import DirectionGrid, frame_from_pole, unit_vectors
 from .nsphere import unit_ball_volume, unit_sphere_area
 
 __all__ = [
@@ -47,13 +49,18 @@ __all__ = [
     "volume",
 ]
 
-ORIGIN_EXCLUSION = 1e-12  # sampling radius below which points are redrawn
+MC_CHUNK = 1 << 16  # Monte Carlo samples drawn and tested per batch
+
+
+def _check_section_dim(m, n: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < n:
+        raise DomainError(f"section dimension must satisfy 1 <= m < {n}, got {m!r}")
 
 
 class StarShape:
-    """Star-shaped body: boundary at radius f(direction) from the origin.
+    """Star-shaped body: boundary at radius f(u) from the origin.
 
-    ``radial_fn`` receives a (B, n-1) array of direction angles and must
+    ``radial_fn`` receives a (B, n) array of unit direction vectors and must
     return the (B,) array of boundary radii. Radii are validated to be
     positive and finite on every evaluation; continuity is assumed.
     """
@@ -68,13 +75,14 @@ class StarShape:
     def __repr__(self):
         return f"StarShape(dimension={self.dimension}, name={self.name!r})"
 
-    def radial(self, angles) -> np.ndarray:
-        angles = np.asarray(angles, dtype=float)
-        single = angles.ndim == 1
-        batch = angles[None, :] if single else angles
-        if batch.shape[1] != self.dimension - 1:
+    def radial(self, u) -> np.ndarray:
+        """Boundary radii along unit vectors u, (n,) for one or (B, n) for a batch."""
+        u = np.asarray(u, dtype=float)
+        single = u.ndim == 1
+        batch = u[None, :] if single else u
+        if batch.ndim != 2 or batch.shape[1] != self.dimension:
             raise DomainError(
-                f"expected {self.dimension - 1} angles per direction, got {batch.shape[1]}"
+                f"expected unit vectors with {self.dimension} components, got shape {u.shape}"
             )
         r = np.asarray(self._radial_fn(batch), dtype=float)
         r = np.broadcast_to(r, (batch.shape[0],)).copy() if r.ndim == 0 else r
@@ -90,7 +98,7 @@ class StarShape:
             raise DomainError(f"ball radius must be positive, got {radius!r}")
         return StarShape(
             dimension,
-            lambda a: np.full(a.shape[0], float(radius)),
+            lambda u: np.full(u.shape[0], float(radius)),
             name=f"ball:{radius:g}",
         )
 
@@ -101,7 +109,9 @@ class StarShape:
         f = c0 + c1 cos(phi_1) + c2 cos(2 phi_1) + ... (+ s_k sin(k phi_1)).
         For n = 2 the first angle is the full azimuth, so sine terms make
         sense; for n >= 3 it is the polar angle and the shape is axisymmetric
-        (sine terms are rejected there).
+        (sine terms are rejected there). With cos(phi_1) = u_1, the terms are
+        Chebyshev polynomials: cos(k phi_1) = T_k(u_1) and, for n = 2,
+        sin(k phi_1) = u_2 U_{k-1}(u_1).
         """
         cos_coeffs = [float(c) for c in cos_coeffs]
         sin_coeffs = [float(s) for s in sin_coeffs]
@@ -110,15 +120,16 @@ class StarShape:
         if sin_coeffs and dimension != 2:
             raise DomainError("sine terms are only meaningful for dimension 2")
 
-        def fn(a, _c=cos_coeffs, _s=sin_coeffs):
-            phi = a[:, 0]
-            r = np.full(phi.shape, _c[0])
-            for k, c in enumerate(_c[1:], start=1):
-                if c:
-                    r += c * np.cos(k * phi)
-            for k, s in enumerate(_s, start=1):
-                if s:
-                    r += s * np.sin(k * phi)
+        def fn(u, _c=cos_coeffs, _s=sin_coeffs):
+            x = u[:, 0]
+            r = chebval(x, _c)
+            if _s:
+                # sum of s_k U_{k-1}(x) by the three-term recurrence
+                acc, u_prev, u_k = 0.0, 0.0, 1.0
+                for s in _s:
+                    acc = acc + s * u_k
+                    u_prev, u_k = u_k, 2.0 * x * u_k - u_prev
+                r = r + u[:, 1] * acc
             return r
 
         return StarShape(dimension, fn, name="cosine_series")
@@ -128,7 +139,7 @@ class StarShape:
             raise DomainError(f"scale factor must be positive, got {factor!r}")
         return StarShape(
             self.dimension,
-            lambda a, _f=float(factor): _f * self.radial(a),
+            lambda u, _f=float(factor): _f * self.radial(u),
             name=f"{self.name}*{factor:g}",
         )
 
@@ -141,11 +152,9 @@ class StarShape:
         if not np.allclose(q @ q.T, np.eye(n), atol=1e-10):
             raise DomainError("rotation matrix must be orthogonal")
 
-        def fn(a, _q=q):
+        def fn(u, _q=q):
             # g(d) = f(Q^T d): the body is carried forward by Q
-            world = unit_vectors(a) @ _q
-            _, ang = cartesian_to_spherical(world)
-            return self.radial(ang)
+            return self.radial(u @ _q)
 
         return StarShape(n, fn, name=f"{self.name}@rot")
 
@@ -159,8 +168,8 @@ class StarShape:
 
         grid = build_grid(self.dimension, scan_resolution)
         top = 0.0
-        for ang, _ in grid.iter_blocks():
-            top = max(top, float(self.radial(ang).max()))
+        for u, _ in grid.iter_blocks():
+            top = max(top, float(self.radial(u).max()))
         return top * pad
 
     def indicator(self, scan_resolution: int = 64) -> "IndicatorBody":
@@ -168,8 +177,10 @@ class StarShape:
 
         def contains(points, _self=self):
             pts = np.asarray(points, dtype=float)
-            r, ang = cartesian_to_spherical(pts)
-            return r <= _self.radial(ang)
+            r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+            if not np.all(r > 0.0):
+                raise DomainError("the origin has no defined direction")
+            return r <= _self.radial(pts / r[:, None])
 
         return IndicatorBody(
             dimension=self.dimension,
@@ -222,13 +233,12 @@ def _check_pair(shape: StarShape, grid: DirectionGrid):
 def average_thickness(shape: StarShape, m: int, grid: DirectionGrid) -> float:
     """Mean m-volume of m-planar sections through the origin."""
     n = shape.dimension
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < n:
-        raise DomainError(f"section dimension must satisfy 1 <= m < {n}, got {m!r}")
+    _check_section_dim(m, n)
     _check_pair(shape, grid)
     coef = unit_ball_volume(m) / unit_sphere_area(n - 1)
     total = 0.0
-    for ang, w in grid.iter_blocks():
-        total += float(np.dot(shape.radial(ang) ** m, w))
+    for u, w in grid.iter_blocks():
+        total += float(np.dot(shape.radial(u) ** m, w))
     return coef * total
 
 
@@ -236,8 +246,8 @@ def volume(shape: StarShape, grid: DirectionGrid) -> float:
     n = shape.dimension
     _check_pair(shape, grid)
     total = 0.0
-    for ang, w in grid.iter_blocks():
-        total += float(np.dot(shape.radial(ang) ** n, w))
+    for u, w in grid.iter_blocks():
+        total += float(np.dot(shape.radial(u) ** n, w))
     return total / n
 
 
@@ -246,9 +256,8 @@ def moment_vector(shape: StarShape, grid: DirectionGrid) -> np.ndarray:
     n = shape.dimension
     _check_pair(shape, grid)
     acc = np.zeros(n)
-    for ang, w in grid.iter_blocks():
-        u = unit_vectors(ang)
-        acc += (shape.radial(ang) ** (n + 1) * w) @ u
+    for u, w in grid.iter_blocks():
+        acc += (shape.radial(u) ** (n + 1) * w) @ u
     return acc / (n + 1)
 
 
@@ -264,55 +273,38 @@ def thickness_montecarlo(
 ) -> tuple[float, float]:
     """Monte Carlo thickness of an indicator body: (estimate, one-sigma stderr).
 
-    Uniform sampling in the bounding ball; each sample contributes
-    contains(x) * |x|^(m-n), scaled by m V_m / S_{n-1} times the ball volume.
-    Deterministic for a fixed seed. Samples closer than 1e-12 to the origin
-    are redrawn (the weight is integrable but not finite pointwise).
+    Samples the radial form of T directly: u uniform on the sphere
+    (normalized Gaussians) and r = R (1 - U)^(1/m), whose density is
+    m r^(m-1) / R^m on (0, R]. The estimate is V_m R^m times the fraction of
+    points r u inside the body, a Bernoulli mean, so its variance is bounded
+    and the binomial stderr is a valid error bar for every 1 <= m < n. For
+    any body its expectation is m V_m / S_{n-1} times the integral of
+    |x|^(m-n) over the body. Deterministic for a fixed seed.
     """
     n = body.dimension
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < n:
-        raise DomainError(f"section dimension must satisfy 1 <= m < {n}, got {m!r}")
+    _check_section_dim(m, n)
     if not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
     radius = float(body.bounding_radius)
     rng = np.random.default_rng(seed)
-    ball_volume = unit_ball_volume(n) * radius**n
-    coef = m * unit_ball_volume(m) / unit_sphere_area(n - 1) * ball_volume
+    coef = unit_ball_volume(m) * radius**m
 
-    total = 0
-    accepted = 0
-    acc_sum = 0.0
-    acc_sq = 0.0
-    chunk = 1_000_000
-    while total < samples:
-        c = min(chunk, samples - total)
-        dirs = rng.standard_normal((c, n))
-        norms = np.linalg.norm(dirs, axis=1)
-        while np.any(norms < 1e-300):
-            bad = norms < 1e-300
-            dirs[bad] = rng.standard_normal((int(bad.sum()), n))
-            norms = np.linalg.norm(dirs, axis=1)
-        radii = radius * rng.random(c) ** (1.0 / n)
-        while np.any(radii < ORIGIN_EXCLUSION):
-            bad = radii < ORIGIN_EXCLUSION
-            radii[bad] = radius * rng.random(int(bad.sum())) ** (1.0 / n)
-        pts = dirs * (radii / norms)[:, None]
-        inside = np.asarray(body.contains(pts), dtype=bool)
-        vals = np.where(inside, radii ** (m - n), 0.0)
-        total += c
-        accepted += int(inside.sum())
-        acc_sum += float(vals.sum())
-        acc_sq += float(np.dot(vals, vals))
-    if accepted == 0:
+    hits = 0
+    done = 0
+    while done < samples:
+        c = min(MC_CHUNK, samples - done)
+        pts = rng.standard_normal((c, n))
+        r = radius * (1.0 - rng.random(c)) ** (1.0 / m)
+        pts *= (r / np.sqrt(np.einsum("ij,ij->i", pts, pts)))[:, None]
+        hits += int(np.count_nonzero(body.contains(pts)))
+        done += c
+    if hits == 0:
         raise InsufficientSamplingError(
             f"no sample of {samples} landed inside the body; "
             "bounding radius may be far too large"
         )
-    mean = acc_sum / total
-    var = max(acc_sq / total - mean * mean, 0.0)
-    if total > 1:
-        var *= total / (total - 1)
-    return coef * mean, coef * math.sqrt(var / total)
+    p = hits / samples
+    return coef * p, coef * math.sqrt(p * (1.0 - p) / max(samples - 1, 1))
 
 
 def axis_section_average(shape: StarShape, axis, grid: DirectionGrid) -> float:
@@ -341,8 +333,6 @@ def axis_section_average(shape: StarShape, axis, grid: DirectionGrid) -> float:
 
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     chart = np.stack([tt.reshape(-1), pp.reshape(-1)], axis=1)
-    world = unit_vectors(chart) @ q.T
-    _, ang = cartesian_to_spherical(world)
-    f = shape.radial(ang)
+    f = shape.radial(unit_vectors(chart) @ q.T)
     ww = np.repeat(w_theta, n_phi) * w_phi
     return float(np.dot(f * f, ww)) / (2.0 * math.pi)

@@ -53,6 +53,22 @@ def test_only_constant_harmonic_survives_line_sections():
     assert average_thickness(shape, 1, grid) == pytest.approx(2.6, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_cosine_series_matches_angle_form(n):
+    # the Chebyshev evaluation in u_1 reproduces the series in the first angle
+    cos_c = [1.0, 0.2, -0.05, 0.03, 0.01]
+    sin_c = [0.1, 0.0, -0.02] if n == 2 else []
+    rng = np.random.default_rng(n)
+    ang = np.empty((50, n - 1))
+    ang[:, : n - 2] = rng.uniform(0.0, math.pi, size=(50, n - 2))
+    ang[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=50)
+    phi = ang[:, 0]
+    want = sum(c * np.cos(k * phi) for k, c in enumerate(cos_c))
+    want = want + sum(s * np.sin(k * phi) for k, s in enumerate(sin_c, start=1))
+    got = StarShape.cosine_series(n, cos_c, sin_c).radial(unit_vectors(ang))
+    assert np.abs(got - want).max() < 1e-14
+
+
 def test_homogeneity_under_scaling():
     grid = build_grid(3, 48)
     base = StarShape.cosine_series(3, [1.0, 0.2, 0.1])
@@ -111,6 +127,20 @@ def test_montecarlo_unit_disc_diameter_is_two():
     assert abs(estimate - 2.0) < 3.0 * stderr
 
 
+def test_montecarlo_error_bar_is_calibrated():
+    # z = (estimate - exact) / stderr over many seeds must have unit spread
+    # for every section dimension, including m <= n/2
+    for n in range(2, 7):
+        body = StarShape.ball(n, 1.0).indicator(scan_resolution=8)
+        for m in range(1, n):
+            z = []
+            for seed in range(200):
+                est, err = thickness_montecarlo(body, m, 5_000, seed=[n, m, seed])
+                z.append((est - unit_ball_volume(m)) / err)
+            sd = float(np.std(z, ddof=1))
+            assert 0.8 <= sd <= 1.25, (m, n, sd)
+
+
 def test_montecarlo_is_deterministic_in_seed():
     body = StarShape.ball(2, 1.0).indicator()
     a = thickness_montecarlo(body, 1, 50_000, seed=11)
@@ -152,9 +182,9 @@ def test_translated_disc_star_representation():
     # disc of radius rho centered at (d, 0), still star shaped about the origin
     rho, d = 1.0, 0.6
 
-    def radial_fn(angles):
-        phi = angles[:, 0]
-        return d * np.cos(phi) + np.sqrt(rho**2 - (d * np.sin(phi)) ** 2)
+    def radial_fn(u):
+        # u = (cos phi, sin phi)
+        return d * u[:, 0] + np.sqrt(rho**2 - (d * u[:, 1]) ** 2)
 
     shape = StarShape(2, radial_fn, name="offset-disc")
     grid = build_grid(2, 256)
@@ -203,7 +233,7 @@ def test_indicator_classifies_points():
 def test_bounding_radius_covers_shape():
     shape = StarShape.cosine_series(3, [1.0, 0.0, 0.2, 0.0, 0.05])
     grid = build_grid(3, 96)
-    r = shape.radial(grid.angles())
+    r = shape.radial(unit_vectors(grid.angles()))
     assert shape.bounding_radius() >= r.max()
 
 
@@ -247,12 +277,12 @@ def test_shape_validation():
         StarShape.cosine_series(3, [])
     with pytest.raises(DomainError):
         StarShape.cosine_series(3, [1.0], sin_coeffs=[0.1])
-    bad = StarShape(3, lambda a: np.full(a.shape[0], -1.0))
+    bad = StarShape(3, lambda u: np.full(u.shape[0], -1.0))
     with pytest.raises(DomainError):
-        bad.radial(np.array([[0.5, 0.5]]))
-    # f = 1 + 1.2 cos is negative near theta = pi
+        bad.radial(np.array([[0.6, 0.8, 0.0]]))
+    # f = 1 + 1.2 cos is negative near theta = pi, i.e. u = -e1
     with pytest.raises(DomainError):
-        StarShape.cosine_series(2, [1.0, 1.2]).radial(np.array([[math.pi]]))
+        StarShape.cosine_series(2, [1.0, 1.2]).radial(np.array([[-1.0, 0.0]]))
 
 
 def test_rotated_requires_orthogonal_matrix():
