@@ -64,7 +64,7 @@ def stationarity_residual(
     exactly when the shape is stationary with these multipliers.
     """
     n = shape.dimension
-    _check_section_dim(m, n)
+    m = _check_section_dim(m, n)
     if grid.dimension != n:
         raise DomainError(f"grid dimension {grid.dimension} != shape dimension {n}")
     a = _check_axis(axis, n)
@@ -101,7 +101,7 @@ class DeformationSample:
             raise DomainError(
                 f"need exactly n+2 = {count} points with {self.n - 1} angles each"
             )
-        _check_section_dim(self.m, self.n)
+        object.__setattr__(self, "m", _check_section_dim(self.m, self.n))
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angles", angles)
 
@@ -219,7 +219,7 @@ def sphere_optimality_test(
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    _check_section_dim(m, n)
+    m = _check_section_dim(m, n)
     if not isinstance(trials, int) or trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     if not 0.0 <= amplitude <= 0.1:
@@ -227,7 +227,7 @@ def sphere_optimality_test(
     if resolution is None:
         resolution = {2: 64, 3: 48}.get(n, 32)
     grid = build_grid(n, resolution)
-    u = grid.directions()
+    u = unit_vectors(grid.angles())
     w = grid.weights()
     coef = unit_ball_volume(m) / unit_sphere_area(n - 1)
     t_ball = coef * float(w.sum())

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -283,15 +284,11 @@ class DirectionGrid:
         mesh = np.meshgrid(*[nodes for nodes, _ in self.axes], indexing="ij")
         return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
-    def directions(self, limit: int = 1 << 24) -> np.ndarray:
-        """Materialize every node's unit vector as one (N, n) array."""
-        self._check_limit(limit)
-        return np.concatenate([u.copy() for u, _ in self.iter_blocks()])
-
     def weights(self, limit: int = 1 << 26) -> np.ndarray:
-        """Materialize every node's weight as one (N,) array."""
+        """Materialize every node's weight as one (N,) array, in block order."""
         self._check_limit(limit)
-        return np.concatenate([w.copy() for _, w in self.iter_blocks()])
+        # start from 1.0 so a one-axis grid returns a copy, not its own table
+        return reduce(np.multiply.outer, [w for _, w in self.axes], 1.0).reshape(-1)
 
 
 def build_grid(

@@ -23,6 +23,7 @@ variance is bounded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,9 +53,11 @@ __all__ = [
 MC_CHUNK = 1 << 16  # Monte Carlo samples drawn and tested per batch
 
 
-def _check_section_dim(m, n: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < n:
+def _check_section_dim(m, n: int) -> int:
+    """Validate 1 <= m < n and return m as a Python int (numpy integers pass)."""
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or not 1 <= m < n:
         raise DomainError(f"section dimension must satisfy 1 <= m < {n}, got {m!r}")
+    return int(m)
 
 
 class StarShape:
@@ -177,10 +180,10 @@ class StarShape:
 
         def contains(points, _self=self):
             pts = np.asarray(points, dtype=float)
-            r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+            r = np.sqrt(np.einsum("...i,...i->...", pts, pts))
             if not np.all(r > 0.0):
                 raise DomainError("the origin has no defined direction")
-            return r <= _self.radial(pts / r[:, None])
+            return r <= _self.radial(pts / r[..., None])
 
         return IndicatorBody(
             dimension=self.dimension,
@@ -233,7 +236,7 @@ def _check_pair(shape: StarShape, grid: DirectionGrid):
 def average_thickness(shape: StarShape, m: int, grid: DirectionGrid) -> float:
     """Mean m-volume of m-planar sections through the origin."""
     n = shape.dimension
-    _check_section_dim(m, n)
+    m = _check_section_dim(m, n)
     _check_pair(shape, grid)
     coef = unit_ball_volume(m) / unit_sphere_area(n - 1)
     total = 0.0
@@ -282,7 +285,7 @@ def thickness_montecarlo(
     |x|^(m-n) over the body. Deterministic for a fixed seed.
     """
     n = body.dimension
-    _check_section_dim(m, n)
+    m = _check_section_dim(m, n)
     if not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
     radius = float(body.bounding_radius)

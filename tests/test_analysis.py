@@ -168,6 +168,8 @@ def test_deformation_sample_validation():
         DeformationSample(n=3, m=3, radii=np.ones(5), angles=np.zeros((5, 2)))
     sample = DeformationSample(n=3, m=1, radii=np.ones(5), angles=np.zeros((5, 2)))
     assert sample.matrix().shape == (5, 5)
+    sample = DeformationSample(n=3, m=np.int64(1), radii=np.ones(5), angles=np.zeros((5, 2)))
+    assert type(sample.m) is int and sample.matrix().shape == (5, 5)
 
 
 # ---------------------------------------------------------------------------

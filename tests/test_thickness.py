@@ -228,6 +228,12 @@ def test_indicator_classifies_points():
     assert body.contains(inside).all()
     assert not body.contains(outside).any()
     assert body.bounding_radius >= 1.3
+    # a single (n,) point is classified like a one-row batch
+    assert body.contains(inside[0]) and not body.contains(outside[0])
+    with pytest.raises(DomainError):
+        body.contains(np.zeros(3))
+    with pytest.raises(DomainError):
+        body.contains(np.ones((2, 4)))
 
 
 def test_bounding_radius_covers_shape():
@@ -294,9 +300,11 @@ def test_rotated_requires_orthogonal_matrix():
 def test_thickness_argument_validation():
     shape = StarShape.ball(3, 1.0)
     grid = build_grid(3, 8)
-    for bad_m in (0, 3, 1.5, -1):
+    for bad_m in (0, 3, 1.5, -1, True):
         with pytest.raises(DomainError):
             average_thickness(shape, bad_m, grid)
+    # numpy integers are integers
+    assert average_thickness(shape, np.int64(2), grid) == average_thickness(shape, 2, grid)
     with pytest.raises(DomainError):
         average_thickness(shape, 1, build_grid(4, 8))
     with pytest.raises(DomainError):
