@@ -43,14 +43,13 @@ PROJECTION_TOL = 1e-14
 def stationary_shape(params: StationaryParams) -> StarShape:
     """Radial-function view of a stationary profile, cusp axis along +x1.
 
-    The profile depends on cos(theta) = u_1 only (axisymmetry about x1).
+    The profile depends on cos(theta) = u_1 only (axisymmetry about x1), so
+    the shape is zonal.
     """
-
-    def radial_fn(u):
-        return _radial_from_cos(params, u[:, 0])
-
-    return StarShape(
-        params.n, radial_fn, name=f"stationary:{params.shape_class.value}"
+    return StarShape.zonal(
+        params.n,
+        lambda t: _radial_from_cos(params, t),
+        name=f"stationary:{params.shape_class.value}",
     )
 
 

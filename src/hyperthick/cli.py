@@ -279,7 +279,12 @@ def thickness(cfg, spec, m, dim, mc, samples, seed, resolution):
         resolution = _pick(resolution, cfg, "resolution", 64)
         echo["resolution"] = resolution
         grid = build_grid(shape.dimension, resolution)
-        _emit({"T": average_thickness(shape, m, grid)}, echo, grid=_grid_meta(grid))
+        rule = "tensor" if shape.profile is None else "zonal"
+        _emit(
+            {"T": average_thickness(shape, m, grid), "rule": rule},
+            echo,
+            grid=_grid_meta(grid),
+        )
 
 
 @main.group()

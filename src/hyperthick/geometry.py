@@ -14,20 +14,28 @@ density sin^{n-2}(phi_1) sin^{n-3}(phi_2) ... sin(phi_{n-2}).
 
 Quadrature grids are tensor products: Gauss-Jacobi nodes in cos(phi_i) for
 each polar angle (the sin-power density is the Jacobi weight function, so
-weight sums are exact) and a uniform trapezoid rule in the azimuth. Grids are
-stored in factored per-axis form; dense enumeration happens in blocks of unit
-direction vectors, so large grids never materialize all at once. Angles are
-the chart that builds grids and reads shape tables; everything that evaluates
-a radius works on the unit vectors.
+weight sums are exact; see polar_rule) and a uniform trapezoid rule in the
+azimuth. Grids are stored in factored per-axis form; dense enumeration
+happens in blocks of unit direction vectors, so large grids never
+materialize all at once. Integrands that depend on u_1 alone (zonal ones)
+need only the first polar axis: DirectionGrid.zonal_rule folds the other
+axes into their weight sums, so the rule has resolution * refine nodes
+whatever n is. Angles are the chart that builds grids and reads shape
+tables; everything that evaluates a radius works on the unit vectors.
+
+legendre_angles is the Gauss-Legendre rule on [0, pi] shared by the
+meridian quadrature of stationary shapes and the axis-aligned section rule;
+it is built on first use per node count and cached as read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 from .errors import BudgetError, ConvergenceError, DomainError
@@ -40,6 +48,8 @@ __all__ = [
     "build_grid",
     "cartesian_to_spherical",
     "frame_from_pole",
+    "legendre_angles",
+    "polar_rule",
     "solid_angle_density",
     "spherical_to_cartesian",
     "unit_vectors",
@@ -202,6 +212,19 @@ class DirectionGrid:
             total *= float(weights.sum())
         return total
 
+    def zonal_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """1-D rule (t, weights) for integrands that depend on t = u_1 only.
+
+        The nodes are the cosines of the first polar axis, exactly the u_1
+        values the tensor blocks carry, and the weights are that axis's
+        weights times the weight sums of all other axes, so the rule gives
+        the tensor-grid value up to rounding. Meant for n >= 3, where the
+        first axis is polar.
+        """
+        nodes, weights = self.axes[0]
+        rest = math.prod(float(w.sum()) for _, w in self.axes[1:])
+        return np.cos(nodes), weights * rest
+
     def descriptor(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -291,6 +314,37 @@ class DirectionGrid:
         return reduce(np.multiply.outer, [w for _, w in self.axes], 1.0).reshape(-1)
 
 
+def polar_rule(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for a polar angle with density sin^power.
+
+    Returns (angles, weights) with the angles ascending in (0, pi): the
+    Jacobi nodes in the cosine variable, exponent (power - 1)/2, mapped back
+    through arccos. The rule integrates the density exactly and smooth
+    integrands spectrally.
+    """
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise DomainError(f"node count must be a positive integer, got {count!r}")
+    alpha = (power - 1) / 2.0
+    t, w = roots_jacobi(count, alpha, alpha)
+    # ascending polar angle; arccos reverses the node order
+    return np.arccos(t)[::-1].copy(), w[::-1].copy()
+
+
+@lru_cache(maxsize=16)
+def legendre_angles(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule mapped to [0, pi]: read-only (nodes, weights).
+
+    Built on first use for each node count and cached, so repeated calls at
+    one resolution cost nothing; callers must not (and cannot) modify it.
+    """
+    x, w = leggauss(count)
+    nodes = (x + 1.0) * (math.pi / 2.0)
+    weights = w * (math.pi / 2.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def build_grid(
     n: int,
     resolution: int,
@@ -299,11 +353,10 @@ def build_grid(
 ) -> DirectionGrid:
     """Build the tensor-product sphere rule for R^n.
 
-    Polar angle i (density power p = n-1-i) gets ``resolution * refine``
-    Gauss-Jacobi nodes in the cosine variable with exponent (p-1)/2, which
-    integrates the density exactly and smooth integrands spectrally. The
-    azimuth gets ``resolution`` uniform nodes (trapezoid on the circle). Total
-    node count is resolution^(n-1) when refine == 1.
+    Polar angle i (density power p = n-1-i) gets the polar_rule of
+    ``resolution * refine`` nodes for that power. The azimuth gets
+    ``resolution`` uniform nodes (trapezoid on the circle). Total node count
+    is resolution^(n-1) when refine == 1.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"grids require an integer dimension n >= 2, got {n!r}")
@@ -317,13 +370,7 @@ def build_grid(
             f"grid would hold {count} nodes, over the budget of {node_budget}; "
             "lower the resolution or raise node_budget"
         )
-    axes = []
-    for i in range(1, n - 1):
-        p = n - 1 - i
-        alpha = (p - 1) / 2.0
-        t, w = roots_jacobi(resolution * refine, alpha, alpha)
-        # ascending polar angle; arccos reverses the node order
-        axes.append((np.arccos(t)[::-1].copy(), w[::-1].copy()))
+    axes = [polar_rule(resolution * refine, n - 1 - i) for i in range(1, n - 1)]
     az_nodes = TWO_PI * np.arange(resolution) / resolution
     az_weights = np.full(resolution, TWO_PI / resolution)
     axes.append((az_nodes, az_weights))

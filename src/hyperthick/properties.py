@@ -1,11 +1,17 @@
 """Volume, axial moment, and thickness of stationary shapes.
 
 Quadrature route: the meridian R(z) is integrated in hyper-cylindrical
-coordinates, V = V_{n-1} integral R^{n-1} dz and M the same with a z factor;
-the thickness integrates the boundary radius to the m-th power over the polar
-angle. Closed forms exist for a handful of parameter families and are kept
-here as an independent cross-check; quadrature and closed forms must agree
-wherever both apply.
+coordinates, V = V_{n-1} integral R^{n-1} dz and M the same with a z factor.
+The thickness integral of r^m sin^(n-2)(theta) over the polar angle is taken
+on the same z nodes, where everything is explicit and no root is needed:
+r = (lambda + mu z)^(-1/k), sin(theta) = R/r and cos(theta) = z/r, so the
+integral becomes one of r^m sin^(n-3)(theta) d(cos theta)/dz over z. Only
+n = 2 (where k = 1 and the radius is closed form) keeps the polar-angle
+route, because its sin^(-1)(theta) factor is singular on the axis. All
+routes share one Gauss-Legendre rule per resolution (legendre_angles),
+cached after its first use. Closed forms exist for a handful of parameter
+families and are kept here as an independent cross-check; quadrature and
+closed forms must agree wherever both apply.
 
 The three quantities of one stationary shape are linearly dependent:
 multiplying the stationary equation by r and integrating over the sphere
@@ -21,9 +27,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, UnboundedRegionError
+from .geometry import legendre_angles
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .stationary import (
     ShapeClass,
@@ -46,36 +52,42 @@ DEFAULT_RESOLUTION = 256
 
 
 def body_properties(params: StationaryParams, resolution: int = DEFAULT_RESOLUTION) -> BodyProperties:
-    """V, M, T of a closed stationary shape by quadrature.
+    """V, M, T of a closed stationary shape by quadrature, in one pass.
 
-    V and M use Gauss-Legendre after the substitution
+    All three use Gauss-Legendre after the substitution
     z = z_- + (dz/2)(1 - cos s), which flattens the square-root behaviour of
-    R at both axis crossings. T uses Gauss-Legendre directly in the polar
-    angle, where the boundary radius stays one-sidedly analytic even at the
-    critical cusp.
+    R at both axis crossings. T integrates r^m sin^(n-3)(theta) against
+    d(cos theta)/dz = (lambda + mu z)^(1/k) + (mu z / k)(lambda + mu z)^(1/k - 1)
+    on those nodes. For n = 2 it uses Gauss-Legendre directly in the polar
+    angle instead, where the boundary radius stays one-sidedly analytic even
+    at the critical cusp.
     """
     if not isinstance(resolution, int) or resolution < 2:
         raise DomainError(f"resolution must be an integer >= 2, got {resolution!r}")
     if params.shape_class is ShapeClass.OPEN:
         raise UnboundedRegionError("open shapes have no finite volume")
-    n, m = params.n, params.m
+    n, m, k = params.n, params.m, params.k
     z_minus, z_plus = support_interval(params)
-    x, w = leggauss(resolution)
-    s = (x + 1.0) * (math.pi / 2.0)
-    ws = w * (math.pi / 2.0)
+    s, ws = legendre_angles(resolution)
 
     half = 0.5 * (z_plus - z_minus)
     z = z_minus + half * (1.0 - np.cos(s))
     dz = half * np.sin(s) * ws
-    r_pow = cylindrical_radius(params, z) ** (n - 1)
+    rc = cylindrical_radius(params, z)
+    r_pow = rc ** (n - 1)
     v_slab = unit_ball_volume(n - 1)
     vol = v_slab * float(np.dot(r_pow, dz))
     mom = v_slab * float(np.dot(r_pow * z, dz))
 
-    theta = s  # same nodes, reinterpreted on [0, pi]
-    f = radial_profile(params, theta)
-    dens = np.sin(theta) ** (n - 2)
-    ray = unit_sphere_area(n - 2) * float(np.dot(f**m * dens, ws))
+    if n == 2:
+        ray = unit_sphere_area(0) * float(np.dot(radial_profile(params, s) ** m, ws))
+    else:
+        u = params.lam + params.mu * z
+        root = u ** (1.0 / k)  # 1/r
+        dcos = root + (params.mu * z / k) * (root / u)
+        ray = unit_sphere_area(n - 2) * float(
+            np.dot(root ** -m * (rc * root) ** (n - 3) * dcos, dz)
+        )
     thick = unit_ball_volume(m) / unit_sphere_area(n - 1) * ray
     return BodyProperties(volume=vol, moment=mom, thickness=thick)
 

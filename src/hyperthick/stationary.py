@@ -14,6 +14,11 @@ used throughout puts mu <= 0, which places the centroid and the cusp on the
 positive side of the axis. In hyper-cylindrical coordinates the meridian is
 
     R^2(z) = (lambda + mu z)^(-2/k) - z^2.
+
+Both polynomial roots solved here, the boundary radius for k >= 3 and the
+negative axis crossing of the critical shape, are roots of
+1 - a x^k - b x^(k+1) and share one bracketed Newton that runs array-wise
+over all directions at once.
 """
 
 from __future__ import annotations
@@ -169,62 +174,88 @@ def _residual(k: int, lam: float, mu: float, r, cos_t):
     return 1.0 - lam * r**k - mu * r ** (k + 1) * cos_t
 
 
-def _solve_radial_scalar(k: int, lam: float, mu: float, cos_t: float) -> float:
-    """Smallest positive root of the stationary equation, bracketed Newton."""
+def _newton(k: int, a: float, b, x, lo, hi, step_tol: float, max_iter: int) -> np.ndarray:
+    """Roots of 1 - a x^k - b x^(k+1), one per entry of the 1-D array b.
+
+    Bracketed Newton, run array-wise: the start x and the bracket [lo, hi]
+    broadcast against b, and each polynomial must fall from positive to
+    negative across its bracket. A Newton step that leaves the shrinking
+    bracket is replaced by bisection. An entry is done once its residual is
+    at most NEWTON_TOL or its step at most step_tol * max(1, |x|); only the
+    entries still running are evaluated.
+    """
+    b, x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(b, x, lo, hi))
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    for _ in range(max_iter):
+        fx = 1.0 - a * x**k - b * x ** (k + 1)
+        done = np.abs(fx) <= NEWTON_TOL
+        out[live[done]] = x[done]
+        keep = ~done
+        live, b, x, lo, hi, fx = live[keep], b[keep], x[keep], lo[keep], hi[keep], fx[keep]
+        if live.size == 0:
+            return out
+        above = fx > 0.0
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        d = -a * k * x ** (k - 1) - b * (k + 1.0) * x**k
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = np.where(d != 0.0, x - fx / d, mid)
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
+        done = np.abs(x_new - x) <= step_tol * np.maximum(1.0, np.abs(x))
+        out[live[done]] = x_new[done]
+        keep = ~done
+        live, b, x, lo, hi = live[keep], b[keep], x_new[keep], lo[keep], hi[keep]
+        if live.size == 0:
+            return out
+    raise ConvergenceError(
+        f"Newton iteration stalled for k={k} at {live.size} point(s), "
+        f"first at x={x[0]!r} with coefficient {b[0]!r}"
+    )
+
+
+def _radial_newton(k: int, lam: float, mu: float, cos_t: np.ndarray) -> np.ndarray:
+    """Smallest positive root of the stationary equation per direction."""
     c = mu * cos_t  # the r^(k+1) coefficient enters as -c
     sphere = lam ** (-1.0 / k)
-    if c == 0.0:
-        return sphere
-    if c < 0.0:
-        # radius polynomial dips to a minimum at r_star and rises after it;
-        # the boundary is the root before the dip. That first root never
-        # exceeds the critical-support radius, which caps the bracket when
-        # mu is so small that r_star itself would overflow.
-        z_plus = ((k + 1.0) / lam) ** (1.0 / k)
-        if k * lam > (k + 1.0) * (-c) * z_plus:
-            lo, hi = 0.0, z_plus
-            x = sphere
-        else:
-            r_star = k * lam / ((k + 1.0) * (-c))
-            p_star = _residual(k, lam, mu, r_star, cos_t)
-            if p_star > NEWTON_TOL:
-                raise NoRootError(
-                    "no positive boundary radius in this direction (open region)"
-                )
-            if p_star >= 0.0:
-                return r_star  # tangency: the critical double root
-            lo, hi = 0.0, r_star
-            x = min(sphere, 0.5 * r_star)
-    else:
-        # strictly decreasing: unique root at or below the sphere radius
-        lo, hi = 0.0, sphere
-        x = sphere
-
-    for _ in range(120):
-        fx = _residual(k, lam, mu, x, cos_t)
-        if abs(fx) <= NEWTON_TOL:
-            return x
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        d = -lam * k * x ** (k - 1) - c * (k + 1.0) * x**k
-        x_new = x - fx / d if d != 0.0 else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    raise ConvergenceError(
-        f"radial Newton iteration stalled at k={k}, lambda={lam}, cos={cos_t}"
-    )
+    r = np.full(c.shape, sphere)
+    # c > 0: strictly decreasing, unique root at or below the sphere radius
+    hi = np.full(c.shape, sphere)
+    x0 = np.full(c.shape, sphere)
+    solve = c != 0.0
+    # c < 0: the radius polynomial dips to a minimum at r_star and rises
+    # after it; the boundary is the root before the dip. That first root
+    # never exceeds the critical-support radius, which caps the bracket when
+    # mu is so small that r_star itself would overflow.
+    z_plus = ((k + 1.0) / lam) ** (1.0 / k)
+    neg = c < 0.0
+    capped = neg & (k * lam > (k + 1.0) * -c * z_plus)
+    hi[capped] = z_plus
+    dip = np.flatnonzero(neg & ~capped)
+    if dip.size:
+        r_star = k * lam / ((k + 1.0) * -c[dip])
+        p_star = _residual(k, lam, mu, r_star, cos_t[dip])
+        if np.any(p_star > NEWTON_TOL):
+            raise NoRootError(
+                "no positive boundary radius in this direction (open region)"
+            )
+        tangent = p_star >= 0.0  # the critical double root
+        r[dip[tangent]] = r_star[tangent]
+        solve[dip[tangent]] = False
+        inner = dip[~tangent]
+        hi[inner] = r_star[~tangent]
+        x0[inner] = np.minimum(sphere, 0.5 * r_star[~tangent])
+    r[solve] = _newton(k, lam, c[solve], x0[solve], 0.0, hi[solve], 1e-16, 120)
+    return r
 
 
 def radial_profile(params: StationaryParams, theta):
     """Boundary radius r(theta), theta measured from the symmetry axis.
 
     Closed forms for k = 1 (quadratic) and k = 2 (the real Cardano branch
-    that bounds the closed region); safeguarded Newton for k >= 3. Every
+    that bounds the closed region); one array-wise safeguarded Newton for
+    k >= 3. Every
     returned radius is validated against the stationary equation. Open-class
     directions without a positive root raise.
     """
@@ -256,9 +287,7 @@ def _radial_from_cos(params: StationaryParams, cos_t: np.ndarray) -> np.ndarray:
             rho = 2.0 * np.cosh(np.arccosh(-q[~trig]) / 3.0)
             r[~trig] = math.sqrt(3.0 / lam) / rho
     else:
-        r = np.empty_like(q)
-        for i, ct in enumerate(cos_t):
-            r[i] = _solve_radial_scalar(k, lam, mu, float(ct))
+        r = _radial_newton(k, lam, mu, cos_t)
 
     res = np.abs(_residual(k, lam, mu, r, cos_t))
     if np.any(res > RESIDUAL_TOL):
@@ -301,32 +330,6 @@ _CRITICAL_NEG_ROOT = {
 }
 
 
-def _critical_neg_root_newton(k: int) -> float:
-    """Root of 1 - (k+1)u^k - k u^(k+1) on (0, 1); strictly decreasing there."""
-
-    def h(u):
-        return 1.0 - (k + 1.0) * u**k - k * u ** (k + 1)
-
-    lo, hi = 0.0, 1.0
-    x = 0.5
-    for _ in range(200):
-        fx = h(x)
-        if abs(fx) <= NEWTON_TOL:
-            return x
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        d = -k * (k + 1.0) * (x ** (k - 1) + x**k)
-        x_new = x - fx / d if d != 0.0 else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-17:
-            return x_new
-        x = x_new
-    raise ConvergenceError(f"negative-side support root stalled for k={k}")
-
-
 def critical_support(k: int, lam: float, method: str = "auto") -> tuple[float, float]:
     """Axis crossings (z_minus, z_plus) of the critical (e = 1) meridian.
 
@@ -347,7 +350,8 @@ def critical_support(k: int, lam: float, method: str = "auto") -> tuple[float, f
         except KeyError:
             raise DomainError(f"no radical closed form for the k={k} crossing") from None
     else:
-        u0 = _critical_neg_root_newton(k)
+        # 1 - (k+1)u^k - k u^(k+1) falls strictly on (0, 1)
+        u0 = float(_newton(k, k + 1.0, np.array([float(k)]), 0.5, 0.0, 1.0, 1e-17, 200)[0])
     return -u0 * z_plus, z_plus
 
 

@@ -13,6 +13,14 @@ direction cosines. Directions are unit vectors u in R^n throughout: radial
 functions take a (B, n) batch of them and quadrature grids yield them in
 blocks.
 
+Axisymmetric (zonal) shapes, whose radius depends on t = u_1 alone, carry
+their profile g(t): balls, cosine series for n >= 3, stationary shapes, and
+scaled copies of these. For them T, V and the moment reduce to one 1-D rule
+in t (DirectionGrid.zonal_rule) with the same u_1 nodes as the tensor grid,
+so the value is the tensor-grid value up to rounding at a cost that does not
+grow with n. Rotating a zonal shape off the axis loses the profile and falls
+back to the tensor grid.
+
 For bodies given only by an indicator function the same thickness is
 estimated by Monte Carlo straight from the radial form: a uniform direction u
 and a radius r with density proportional to r^(m-1) on [0, R] make
@@ -29,14 +37,20 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DegenerateBodyError,
     DomainError,
     InsufficientSamplingError,
 )
-from .geometry import DirectionGrid, frame_from_pole, unit_vectors
+from .geometry import (
+    DirectionGrid,
+    build_grid,
+    frame_from_pole,
+    legendre_angles,
+    polar_rule,
+    unit_vectors,
+)
 from .nsphere import unit_ball_volume, unit_sphere_area
 
 __all__ = [
@@ -60,12 +74,25 @@ def _check_section_dim(m, n: int) -> int:
     return int(m)
 
 
+def _checked_radii(values, count: int) -> np.ndarray:
+    """Radii as a (count,) array, validated positive and finite (scalars broadcast)."""
+    r = np.asarray(values, dtype=float)
+    r = np.broadcast_to(r, (count,)).copy() if r.ndim == 0 else r
+    if r.shape != (count,):
+        raise DomainError(f"radial function returned shape {r.shape}")
+    if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+        raise DomainError("radial function must be positive and finite everywhere")
+    return r
+
+
 class StarShape:
     """Star-shaped body: boundary at radius f(u) from the origin.
 
     ``radial_fn`` receives a (B, n) array of unit direction vectors and must
     return the (B,) array of boundary radii. Radii are validated to be
     positive and finite on every evaluation; continuity is assumed.
+    ``profile`` is None, except for zonal shapes (see zonal), where it is
+    the radius as a function of u_1 alone.
     """
 
     def __init__(self, dimension: int, radial_fn: Callable, name: str = "custom"):
@@ -74,6 +101,7 @@ class StarShape:
         self.dimension = dimension
         self.name = name
         self._radial_fn = radial_fn
+        self.profile = None
 
     def __repr__(self):
         return f"StarShape(dimension={self.dimension}, name={self.name!r})"
@@ -87,21 +115,39 @@ class StarShape:
             raise DomainError(
                 f"expected unit vectors with {self.dimension} components, got shape {u.shape}"
             )
-        r = np.asarray(self._radial_fn(batch), dtype=float)
-        r = np.broadcast_to(r, (batch.shape[0],)).copy() if r.ndim == 0 else r
-        if r.shape != (batch.shape[0],):
-            raise DomainError(f"radial function returned shape {r.shape}")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
-            raise DomainError("radial function must be positive and finite everywhere")
+        r = _checked_radii(self._radial_fn(batch), batch.shape[0])
         return r[0] if single else r
+
+    def _profile_radii(self, t: np.ndarray) -> np.ndarray:
+        """Validated profile values g(t) for a 1-D array t of u_1 values (zonal shapes)."""
+        return _checked_radii(self.profile(t), t.shape[0])
+
+    @staticmethod
+    def zonal(dimension: int, profile: Callable, name: str = "zonal") -> "StarShape":
+        """Axisymmetric shape about x_1 with radius g(u_1).
+
+        ``profile`` maps a 1-D array of t = u_1 values to radii. For n >= 3
+        the shape keeps it as ``shape.profile``, and thickness, volume and
+        moment integrate it with the 1-D zonal rule. In the plane the circle
+        has no smaller rule than the tensor one, so for n = 2 this returns a
+        plain shape with the same radial function.
+        """
+
+        def fn(u, _g=profile):
+            return _g(u[:, 0])
+
+        shape = StarShape(dimension, fn, name=name)
+        if dimension >= 3:
+            shape.profile = profile
+        return shape
 
     @staticmethod
     def ball(dimension: int, radius: float = 1.0) -> "StarShape":
         if not (radius > 0.0 and math.isfinite(radius)):
             raise DomainError(f"ball radius must be positive, got {radius!r}")
-        return StarShape(
+        return StarShape.zonal(
             dimension,
-            lambda u: np.full(u.shape[0], float(radius)),
+            lambda t: np.full(t.shape[0], float(radius)),
             name=f"ball:{radius:g}",
         )
 
@@ -114,7 +160,8 @@ class StarShape:
         sense; for n >= 3 it is the polar angle and the shape is axisymmetric
         (sine terms are rejected there). With cos(phi_1) = u_1, the terms are
         Chebyshev polynomials: cos(k phi_1) = T_k(u_1) and, for n = 2,
-        sin(k phi_1) = u_2 U_{k-1}(u_1).
+        sin(k phi_1) = u_2 U_{k-1}(u_1). Without sine terms the shape is
+        zonal.
         """
         cos_coeffs = [float(c) for c in cos_coeffs]
         sin_coeffs = [float(s) for s in sin_coeffs]
@@ -122,32 +169,39 @@ class StarShape:
             raise DomainError("cosine series needs at least the constant term")
         if sin_coeffs and dimension != 2:
             raise DomainError("sine terms are only meaningful for dimension 2")
+        if not sin_coeffs:
+            return StarShape.zonal(
+                dimension, lambda t, _c=cos_coeffs: chebval(t, _c), name="cosine_series"
+            )
 
         def fn(u, _c=cos_coeffs, _s=sin_coeffs):
             x = u[:, 0]
-            r = chebval(x, _c)
-            if _s:
-                # sum of s_k U_{k-1}(x) by the three-term recurrence
-                acc, u_prev, u_k = 0.0, 0.0, 1.0
-                for s in _s:
-                    acc = acc + s * u_k
-                    u_prev, u_k = u_k, 2.0 * x * u_k - u_prev
-                r = r + u[:, 1] * acc
-            return r
+            # sum of s_k U_{k-1}(x) by the three-term recurrence
+            acc, u_prev, u_k = 0.0, 0.0, 1.0
+            for s in _s:
+                acc = acc + s * u_k
+                u_prev, u_k = u_k, 2.0 * x * u_k - u_prev
+            return chebval(x, _c) + u[:, 1] * acc
 
         return StarShape(dimension, fn, name="cosine_series")
 
     def scaled(self, factor: float) -> "StarShape":
         if not (factor > 0.0 and math.isfinite(factor)):
             raise DomainError(f"scale factor must be positive, got {factor!r}")
+        name = f"{self.name}*{factor:g}"
+        if self.profile is not None:
+            return StarShape.zonal(
+                self.dimension, lambda t, _f=float(factor): _f * self.profile(t), name=name
+            )
         return StarShape(
-            self.dimension,
-            lambda u, _f=float(factor): _f * self.radial(u),
-            name=f"{self.name}*{factor:g}",
+            self.dimension, lambda u, _f=float(factor): _f * self.radial(u), name=name
         )
 
     def rotated(self, matrix) -> "StarShape":
-        """Precompose directions with an orthogonal map (rows act on the right)."""
+        """Precompose directions with an orthogonal map (rows act on the right).
+
+        The result is never zonal, even for a zonal shape: its axis moves.
+        """
         q = np.asarray(matrix, dtype=float)
         n = self.dimension
         if q.shape != (n, n):
@@ -165,10 +219,14 @@ class StarShape:
         """Upper bound on the radial function from a padded grid scan.
 
         The pad covers excursions between scan nodes; an overestimate only
-        costs Monte Carlo acceptance, never correctness.
+        costs Monte Carlo acceptance, never correctness. Zonal shapes scan
+        their profile on the first polar axis of the same grid, which holds
+        every u_1 value the full scan visits, so the bound is the same at a
+        cost independent of n.
         """
-        from .geometry import build_grid
-
+        if self.profile is not None:
+            angles, _ = polar_rule(scan_resolution, self.dimension - 2)
+            return float(self._profile_radii(np.cos(angles)).max()) * pad
         grid = build_grid(self.dimension, scan_resolution)
         top = 0.0
         for u, _ in grid.iter_blocks():
@@ -233,32 +291,44 @@ def _check_pair(shape: StarShape, grid: DirectionGrid):
         )
 
 
+def _power_integral(shape: StarShape, grid: DirectionGrid, power: int) -> float:
+    """Quadrature of f^power over the unit sphere, in 1-D for zonal shapes."""
+    _check_pair(shape, grid)
+    if shape.profile is not None:
+        t, w = grid.zonal_rule()
+        return float(np.dot(shape._profile_radii(t) ** power, w))
+    total = 0.0
+    for u, w in grid.iter_blocks():
+        total += float(np.dot(shape.radial(u) ** power, w))
+    return total
+
+
 def average_thickness(shape: StarShape, m: int, grid: DirectionGrid) -> float:
     """Mean m-volume of m-planar sections through the origin."""
     n = shape.dimension
     m = _check_section_dim(m, n)
-    _check_pair(shape, grid)
     coef = unit_ball_volume(m) / unit_sphere_area(n - 1)
-    total = 0.0
-    for u, w in grid.iter_blocks():
-        total += float(np.dot(shape.radial(u) ** m, w))
-    return coef * total
+    return coef * _power_integral(shape, grid, m)
 
 
 def volume(shape: StarShape, grid: DirectionGrid) -> float:
     n = shape.dimension
-    _check_pair(shape, grid)
-    total = 0.0
-    for u, w in grid.iter_blocks():
-        total += float(np.dot(shape.radial(u) ** n, w))
-    return total / n
+    return _power_integral(shape, grid, n) / n
 
 
 def moment_vector(shape: StarShape, grid: DirectionGrid) -> np.ndarray:
-    """First moment of volume, all n components (not divided by volume)."""
+    """First moment of volume, all n components (not divided by volume).
+
+    For a zonal shape only the axial component is integrated; the others
+    vanish by symmetry and are returned as exact zeros.
+    """
     n = shape.dimension
     _check_pair(shape, grid)
     acc = np.zeros(n)
+    if shape.profile is not None:
+        t, w = grid.zonal_rule()
+        acc[0] = float(np.dot(shape._profile_radii(t) ** (n + 1) * t, w))
+        return acc / (n + 1)
     for u, w in grid.iter_blocks():
         acc += (shape.radial(u) ** (n + 1) * w) @ u
     return acc / (n + 1)
@@ -326,10 +396,7 @@ def axis_section_average(shape: StarShape, axis, grid: DirectionGrid) -> float:
     axis = np.asarray(axis, dtype=float)
     q = frame_from_pole(axis)  # validates unit length
 
-    n_theta = grid.resolution * grid.refine
-    x, w = leggauss(n_theta)
-    theta = (x + 1.0) * (math.pi / 2.0)
-    w_theta = w * (math.pi / 2.0)
+    theta, w_theta = legendre_angles(grid.resolution * grid.refine)
     n_phi = grid.resolution
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi

@@ -96,6 +96,38 @@ def test_thickness_montecarlo_ball(runner):
     assert again["stderr"] == doc["stderr"]
 
 
+def test_thickness_montecarlo_ball_six_dimensions(runner):
+    # the bounding radius of a zonal shape comes from a 1-D profile scan, so
+    # n = 6 no longer needs the 64^5-node scan grid
+    args = ["thickness", "--shape", "ball:1", "--n", "6", "--m", "2",
+            "--mc", "--samples", "20000", "--seed", "3"]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    doc = payload(result)
+    assert doc["stderr"] > 0.0
+    assert abs(doc["T"] - math.pi) < 5.0 * doc["stderr"]
+
+
+def test_thickness_reports_quadrature_rule(runner, tmp_path):
+    grid = build_grid(3, 8)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"n": 3, "resolution": 8, "values": [1.2] * grid.node_count}))
+    cases = [
+        (["--shape", "ball:1", "--n", "4"], "zonal"),
+        (["--shape", "harmonic:n=5;c0=1;c2=0.1"], "zonal"),
+        (["--shape", "ball:1", "--n", "2"], "tensor"),
+        (["--shape", "harmonic:n=2;c0=1;c1=0.2"], "tensor"),
+        (["--shape", f"file:{path}"], "tensor"),
+    ]
+    for shape_args, rule in cases:
+        result = invoke(runner, ["thickness", *shape_args, "--m", "1", "--resolution", "8"])
+        assert result.exit_code == 0, result.output
+        assert payload(result)["rule"] == rule
+    mc = invoke(runner, ["thickness", "--shape", "ball:1", "--m", "1", "--mc",
+                         "--samples", "1000"])
+    assert "rule" not in payload(mc)
+
+
 def test_thickness_harmonic_two_dimensional(runner):
     result = invoke(
         runner,

@@ -15,6 +15,7 @@ from hyperthick import (
     unit_vectors,
 )
 from hyperthick.errors import BudgetError, ConvergenceError, DomainError
+from hyperthick.geometry import legendre_angles, polar_rule
 
 
 def random_angles(rng, count, n):
@@ -125,6 +126,38 @@ def test_block_sums_match_materialized_dot():
     total = sum(float(np.dot(f(u), w)) for u, w in grid.iter_blocks(max_block=100))
     u, w = unit_vectors(grid.angles()), grid.weights()
     assert total == pytest.approx(float(np.dot(f(u), w)), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_zonal_rule_folds_the_tensor_grid(n):
+    grid = build_grid(n, 9, refine=2)
+    t, w = grid.zonal_rule()
+    assert t.shape == w.shape == (18,)
+    # the nodes are exactly the u_1 values the blocks carry
+    u1 = np.unique(np.concatenate([u[:, 0].copy() for u, _ in grid.iter_blocks()]))
+    assert np.array_equal(np.sort(t), u1)
+    assert w.sum() == pytest.approx(unit_sphere_area(n - 1), rel=1e-14)
+    f = lambda x: np.exp(0.3 * x) + x**3
+    tensor = sum(float(np.dot(f(u[:, 0]), wb)) for u, wb in grid.iter_blocks())
+    assert float(np.dot(f(t), w)) == pytest.approx(tensor, rel=1e-14)
+
+
+def test_polar_rule_is_the_grid_axis():
+    grid = build_grid(5, 7)
+    for i, (nodes, weights) in enumerate(grid.axes[:-1], start=1):
+        ref_nodes, ref_weights = polar_rule(7, 5 - 1 - i)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
+def test_legendre_angles_are_cached_and_read_only():
+    nodes, weights = legendre_angles(12)
+    assert legendre_angles(12)[0] is nodes
+    assert 0.0 < nodes.min() and nodes.max() < math.pi
+    assert weights.sum() == pytest.approx(math.pi, rel=1e-15)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
 
 
 def test_budget_limits():

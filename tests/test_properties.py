@@ -9,6 +9,7 @@ from hyperthick import (
     body_properties,
     closed_form,
     linear_identity_residual,
+    radial_profile,
     thickness_via_identity,
     unit_ball_volume,
     unit_sphere_area,
@@ -184,3 +185,30 @@ def test_resolution_validation():
     for bad in (0, -8, 2.5):
         with pytest.raises(DomainError):
             body_properties(p, bad)
+
+
+def theta_route_thickness(params, resolution):
+    """T by Gauss-Legendre in the polar angle on the solved boundary radius,
+    the route body_properties used before it went root-free."""
+    n, m = params.n, params.m
+    x, w = np.polynomial.legendre.leggauss(resolution)
+    theta = (x + 1.0) * (math.pi / 2.0)
+    f = radial_profile(params, theta)
+    ray = np.dot(f**m * np.sin(theta) ** (n - 2), w * (math.pi / 2.0))
+    return unit_ball_volume(m) / unit_sphere_area(n - 1) * unit_sphere_area(n - 2) * ray
+
+
+@pytest.mark.parametrize(
+    "n,m,ecc",
+    [
+        (3, 1, 0.0), (3, 1, 0.6), (3, 2, 0.95), (4, 1, 0.5), (4, 2, 0.9),
+        (5, 2, 0.7), (6, 1, 0.3), (7, 3, 0.8), (7, 1, 0.99),
+        # the critical cusp for k = 2, 3, 4
+        (3, 1, 1.0), (5, 3, 1.0), (4, 1, 1.0), (6, 3, 1.0), (5, 1, 1.0), (7, 3, 1.0),
+    ],
+)
+def test_z_route_thickness_matches_theta_route(n, m, ecc):
+    p = StationaryParams(n=n, m=m, lam=1.3, ecc=ecc)
+    assert body_properties(p, 256).thickness == pytest.approx(
+        theta_route_thickness(p, 256), rel=1e-13
+    )

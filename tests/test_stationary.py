@@ -28,6 +28,7 @@ from hyperthick.errors import (
     PoleError,
     UnboundedRegionError,
 )
+from hyperthick.stationary import _radial_from_cos, _radial_newton
 
 
 def radial_oracle(k, lam, mu, cos_t):
@@ -305,3 +306,114 @@ def test_factorization_identity_property(k, w):
 def test_factorization_vectorized():
     res = factorization_residual(3, np.linspace(0.0, 2.0, 50))
     assert np.asarray(res).max() < 1e-12
+
+
+def _newton_branch(k, lam, mu, cos_t):
+    """Which case of the radial solver a direction falls in, from the
+    documented bracket conditions."""
+    c = mu * cos_t
+    if c == 0.0:
+        return "sphere"
+    if c > 0.0:
+        return "decreasing"
+    z_plus = ((k + 1.0) / lam) ** (1.0 / k)
+    if k * lam > (k + 1.0) * -c * z_plus:
+        return "capped-by-z-plus"
+    r_star = k * lam / ((k + 1.0) * -c)
+    p_star = 1.0 - lam * r_star**k - mu * r_star ** (k + 1) * cos_t
+    if p_star > 1e-13:
+        return "no-root"
+    return "tangency" if p_star >= 0.0 else "capped-by-r-star"
+
+
+def test_vectorized_newton_matches_companion_roots():
+    # one array-wise solve per shape, every point checked against the
+    # companion-matrix root; at e = 1 the cusp direction lands on either
+    # side of the tangency test depending on rounding, so (k, lam) are
+    # chosen to reach both
+    seen = set()
+    cos_t = np.array([-1.0, -0.6, -0.1, 0.0, 0.3, 0.8, 1.0])
+    for k in range(3, 9):
+        for lam in (0.8, 1.2, 2.0):
+            for ecc in (0.0, 0.5, 1.0):
+                p = StationaryParams(n=k + 1, m=1, lam=lam, ecc=ecc)
+                got = _radial_from_cos(p, cos_t)
+                for ct, r in zip(cos_t, got):
+                    branch = _newton_branch(k, lam, p.mu, ct)
+                    seen.add(branch)
+                    if branch in ("tangency", "capped-by-r-star") or (ecc == 1.0 and ct == 1.0):
+                        # double root: a 1e-13 residual pins r to ~sqrt(tol)
+                        r_tangent = k * lam / ((k + 1) * abs(p.mu))
+                        assert abs(1.0 - lam * r**k - p.mu * r ** (k + 1)) < 1e-12
+                        assert r == pytest.approx(r_tangent, rel=1e-6)
+                    else:
+                        assert r == pytest.approx(radial_oracle(k, lam, p.mu, ct), rel=1e-12)
+    assert seen == {"sphere", "decreasing", "capped-by-z-plus", "tangency", "capped-by-r-star"}
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_vectorized_newton_raises_for_open_directions(k):
+    p = StationaryParams(n=k + 1, m=1, lam=1.0, ecc=1.3)
+    with pytest.raises(NoRootError):
+        radial_profile(p, np.array([math.pi, 2.0, 0.0]))
+    # the solver's own check, behind the e cos(theta) > 1 screen
+    assert _newton_branch(k, 1.0, p.mu, 1.0) == "no-root"
+    with pytest.raises(NoRootError):
+        _radial_newton(k, 1.0, p.mu, np.array([-1.0, 0.5, 1.0]))
+    # directions that keep a boundary still solve
+    cos_t = np.array([-1.0, 0.0, 0.5])
+    got = _radial_newton(k, 1.0, p.mu, cos_t)
+    want = [radial_oracle(k, 1.0, p.mu, ct) for ct in cos_t]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def per_point_radius(k, lam, mu, cos_t):
+    """The scalar bracketed Newton the array-wise solver replaced, kept as a
+    reference: one direction at a time, Python floats throughout."""
+    c = mu * cos_t
+    sphere = lam ** (-1.0 / k)
+    if c == 0.0:
+        return sphere
+    x, lo, hi = sphere, 0.0, sphere
+    if c < 0.0:
+        z_plus = ((k + 1.0) / lam) ** (1.0 / k)
+        if k * lam > (k + 1.0) * (-c) * z_plus:
+            hi = z_plus
+        else:
+            r_star = k * lam / ((k + 1.0) * (-c))
+            p_star = 1.0 - lam * r_star**k - mu * r_star ** (k + 1) * cos_t
+            if p_star > 1e-13:
+                raise NoRootError("open direction")
+            if p_star >= 0.0:
+                return r_star
+            hi, x = r_star, min(sphere, 0.5 * r_star)
+    for _ in range(120):
+        fx = 1.0 - lam * x**k - mu * x ** (k + 1) * cos_t
+        if abs(fx) <= 1e-13:
+            return x
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        d = -lam * k * x ** (k - 1) - c * (k + 1.0) * x**k
+        x_new = x - fx / d if d != 0.0 else 0.5 * (lo + hi)
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
+            return x_new
+        x = x_new
+    raise ConvergenceError("stalled")
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_vectorized_newton_matches_per_point_loop(k):
+    # same iteration, array-wise: only rounding may differ, except in the
+    # cusp direction itself, where a 1e-13 residual pins the double root
+    # only to ~sqrt(tol)
+    theta = np.linspace(0.0, math.pi, 301)[1:]
+    for lam in (0.6, 1.3):
+        for ecc in (0.0, 0.2, 0.7, 0.99, 1.0):
+            p = StationaryParams(n=k + 1, m=1, lam=lam, ecc=ecc)
+            got = radial_profile(p, theta)
+            want = np.array([per_point_radius(k, lam, p.mu, math.cos(t)) for t in theta])
+            assert np.abs(got / want - 1.0).max() <= 1e-13

@@ -321,3 +321,77 @@ def test_ball_thickness_property(n, radius):
     ball = StarShape.ball(n, radius)
     t = average_thickness(ball, 1, grid)
     assert t == pytest.approx(unit_ball_volume(1) * radius, rel=1e-10)
+
+
+def zonal_cases(n):
+    # k = 2 (closed form) and k = n - 1 (Newton from n = 4 on)
+    stat = stationary_shape(StationaryParams(n=n, m=n - 2, lam=1.2, ecc=0.7))
+    cusp = stationary_shape(StationaryParams(n=n, m=1, lam=0.9, ecc=1.0))
+    series = StarShape.cosine_series(n, [1.0, 0.25, -0.1, 0.04])
+    return [StarShape.ball(n, 1.3), series, stat, cusp, series.scaled(1.7), stat.scaled(0.6)]
+
+
+@pytest.mark.parametrize("n,resolution", [(3, 40), (4, 20), (5, 12), (6, 8)])
+def test_zonal_rule_matches_forced_tensor_grid(n, resolution):
+    grid = build_grid(n, resolution)
+    for shape in zonal_cases(n):
+        assert shape.profile is not None
+        # a plain shape with the same radial function takes the tensor path
+        tensor = StarShape(n, shape.radial)
+        assert tensor.profile is None
+        for m in range(1, n):
+            assert average_thickness(shape, m, grid) == pytest.approx(
+                average_thickness(tensor, m, grid), rel=1e-13
+            )
+        v = volume(tensor, grid)
+        assert volume(shape, grid) == pytest.approx(v, rel=1e-13)
+        mom, mom_tensor = moment_vector(shape, grid), moment_vector(tensor, grid)
+        assert np.abs(mom - mom_tensor).max() <= 1e-13 * v
+        assert np.all(mom[1:] == 0.0)
+        # the profile scan visits exactly the u_1 values of the full scan
+        assert shape.bounding_radius(16) == tensor.bounding_radius(16)
+
+
+def test_rotated_zonal_shape_takes_tensor_path():
+    n = 4
+    grid = build_grid(n, 16)
+    shape = StarShape.cosine_series(n, [1.0, 0.3, 0.1])
+    q = rotation(n, seed=5)
+    turned = shape.rotated(q)
+    assert turned.profile is None
+    assert shape.rotated(np.eye(n)).profile is None
+    calls = []
+    original = turned.radial
+    turned.radial = lambda u: calls.append(u.shape[0]) or original(u)
+    assert average_thickness(turned, 2, grid) == pytest.approx(
+        average_thickness(shape, 2, grid), rel=1e-10
+    )
+    assert sum(calls) == grid.node_count
+    assert np.abs(q @ centroid(shape, grid) - centroid(turned, grid)).max() < 1e-12
+
+
+def test_zonal_in_the_plane_is_a_plain_shape():
+    disc = StarShape.ball(2, 1.0)
+    assert disc.profile is None
+    shape = StarShape.zonal(2, lambda t: 1.0 + 0.2 * t)
+    assert shape.profile is None
+    assert shape.radial(np.array([0.6, 0.8])) == pytest.approx(1.12, rel=1e-15)
+
+
+def test_zonal_profile_must_be_positive():
+    grid = build_grid(3, 16)
+    # g(t) = 1 + 1.2 t is negative near t = -1
+    shape = StarShape.zonal(3, lambda t: 1.0 + 1.2 * t)
+    for fn in (lambda: average_thickness(shape, 1, grid), lambda: volume(shape, grid),
+               lambda: moment_vector(shape, grid), lambda: shape.bounding_radius(16),
+               lambda: shape.radial(np.array([-1.0, 0.0, 0.0]))):
+        with pytest.raises(DomainError):
+            fn()
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            volume(StarShape.zonal(3, lambda t, _b=bad: np.full(t.shape, _b)), grid)
+    with pytest.raises(DomainError):
+        volume(StarShape.zonal(3, lambda t: np.ones(3)), grid)  # wrong length
+    # a scaled copy validates the same way
+    with pytest.raises(DomainError):
+        average_thickness(shape.scaled(2.0), 1, grid)
