@@ -8,9 +8,11 @@ Three independent ways of probing stationarity and optimality:
 * nullvector_recover rebuilds the multipliers (lambda, mu vector) from n+2
   boundary samples of a candidate shape via the rank-deficiency of the
   deformation matrix, failing loudly when the shape is not stationary;
-* dumbbell_thickness realizes the two-disc configuration showing that with
-  the centroid pinned away from the section point the thickness supremum
-  2 sqrt(A/pi) is approached but never attained.
+* dumbbell_thickness evaluates, in closed form, the two-disc configuration
+  showing that with the centroid pinned away from the section point the
+  thickness supremum 2 sqrt(A/pi) is approached but never attained; the far
+  disc's integral of 1/|x| is a complete elliptic-integral combination,
+  computed by the arithmetic-geometric mean.
 """
 
 from __future__ import annotations
@@ -292,34 +294,25 @@ class DumbbellConfig:
         return math.sqrt(self.area_far / math.pi)
 
 
-ORIGIN_EXCLUSION = 1e-12  # near-disc sampling radius below which points are redrawn
+def _far_disc_factor(k: float) -> float:
+    """(4/pi) B(k), the far disc's exact correction to its point-mass value.
 
-
-def _disc_mean_inverse_distance(rng, radius, center_x, count):
-    """Monte Carlo mean and variance of 1/|x| over a uniform disc."""
-    acc = 0.0
-    acc_sq = 0.0
-    done = 0
-    while done < count:
-        c = min(2_000_000, count - done)
-        rho = radius * np.sqrt(rng.random(c))
-        if center_x == 0.0:
-            while np.any(rho < ORIGIN_EXCLUSION):
-                bad = rho < ORIGIN_EXCLUSION
-                rho[bad] = radius * np.sqrt(rng.random(int(bad.sum())))
-            vals = 1.0 / rho
-        else:
-            psi = 2.0 * math.pi * rng.random(c)
-            d = np.sqrt(center_x**2 + 2.0 * center_x * rho * np.cos(psi) + rho * rho)
-            vals = 1.0 / d
-        acc += float(vals.sum())
-        acc_sq += float(np.dot(vals, vals))
-        done += c
-    mean = acc / count
-    var = max(acc_sq / count - mean * mean, 0.0)
-    if count > 1:
-        var *= count / (count - 1)
-    return mean, var
+    B(k) = int_0^(pi/2) cos^2(phi) (1 - k^2 sin^2 phi)^(-1/2) dphi
+         = (E - (1 - k^2) K) / k^2 = K (1/2 - sum_{j>=1} 2^(j-1) (c_j/k)^2)
+    over the arithmetic-geometric mean (a_j, b_j, c_j) started at
+    (1, sqrt(1 - k^2), k), with K = pi / (2 a_inf). The ratios q_j = c_j/k
+    follow q_(j+1) = k q_j^2 / (4 a_(j+1)), so no difference of nearly
+    equal numbers is ever formed; the factor is 1 + k^2/8 + 3k^4/64 + ...
+    """
+    a, b, q = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), 1.0
+    s = 0.5
+    for j in range(1, 13):  # quadratic convergence: 12 steps cover k < 1
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        q = k * q * q / (4.0 * a)
+        s -= 2.0 ** (j - 1) * q * q
+        if k * q <= 2.0**-52 * a:
+            break
+    return (2.0 / a) * s
 
 
 def dumbbell_thickness(
@@ -330,36 +323,23 @@ def dumbbell_thickness(
 ):
     """Average 1-section thickness of the two-disc body.
 
-    exact=False returns the closed asymptotic value
-    2 sqrt(A_near/pi) + A_far/(pi x_far) as a float. exact=True evaluates the
-    volume-element thickness integral by Monte Carlo and returns
-    (estimate, stderr). The integral is additive over the two discs, so each
-    disc is sampled uniformly in itself (with its exact area as the weight)
-    rather than rejection-sampled from a bounding ball that would almost
-    never hit the far disc; most samples go to the near disc, whose 1/r
-    weight carries nearly all the variance.
+    The planar thickness is (1/pi) times the integral of 1/|x| over the body.
+    The near disc contributes exactly 2 R_near (the mean of 1/rho over a
+    centred disc is 2/R). The far disc, of radius a at distance d, contributes
+    (A_far / (pi d)) (4/pi) B(a/d), where B is the elliptic combination of
+    _far_disc_factor, so its point-mass value is corrected by 1 + (a/d)^2/8 + ...
+
+    exact=False returns the asymptotic value 2 R_near + A_far/(pi x_far) as a
+    float. exact=True returns (T, 0.0): the closed form and a zero error
+    term. ``samples`` and ``seed`` are accepted for compatibility with the
+    former Monte Carlo evaluation and ignored.
     """
     r_near, r_far, x_far = config.radius_near, config.radius_far, config.x_far
     if x_far <= r_near + r_far:
         raise GeometryError(
             f"discs overlap: separation {x_far:.6g} <= radii sum {r_near + r_far:.6g}"
         )
+    far = config.area_far / (math.pi * x_far)
     if not exact:
-        return 2.0 * r_near + config.area_far / (math.pi * x_far)
-
-    if not isinstance(samples, int) or samples < 2:
-        raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
-    # n = 2, m = 1: the estimator prefactor m V_m / S_{n-1} is 1/pi
-    coef = 1.0 * unit_ball_volume(1) / unit_sphere_area(1)
-    n_far = max(1, min(samples // 2, max(10_000, samples // 20)))
-    n_near = samples - n_far
-    seq = np.random.SeedSequence(seed)
-    rng_near, rng_far = (np.random.default_rng(s) for s in seq.spawn(2))
-    mean_near, var_near = _disc_mean_inverse_distance(rng_near, r_near, 0.0, n_near)
-    mean_far, var_far = _disc_mean_inverse_distance(rng_far, r_far, x_far, n_far)
-    a_near, a_far = config.area_near, config.area_far
-    estimate = coef * (a_near * mean_near + a_far * mean_far)
-    stderr = coef * math.sqrt(
-        a_near**2 * var_near / n_near + a_far**2 * var_far / n_far
-    )
-    return estimate, stderr
+        return 2.0 * r_near + far
+    return 2.0 * r_near + far * _far_disc_factor(r_far / x_far), 0.0

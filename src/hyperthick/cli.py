@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -60,14 +59,6 @@ def _emit(payload: dict, params_echo: dict, grid=None, seed=None) -> None:
         doc["seed"] = seed
     doc.update(payload)
     click.echo(json.dumps(doc))
-
-
-def _grid_meta(grid) -> dict:
-    return {
-        "n": grid.dimension,
-        "resolution": grid.resolution,
-        "node_count": grid.node_count,
-    }
 
 
 def _handle_errors(fn):
@@ -279,11 +270,13 @@ def thickness(cfg, spec, m, dim, mc, samples, seed, resolution):
         resolution = _pick(resolution, cfg, "resolution", 64)
         echo["resolution"] = resolution
         grid = build_grid(shape.dimension, resolution)
-        rule = "tensor" if shape.profile is None else "zonal"
+        zonal = shape.profile is not None
+        # the nodes the rule integrates: the first polar axis, or all of them
+        nodes = grid.axes[0][0].size if zonal else grid.node_count
         _emit(
-            {"T": average_thickness(shape, m, grid), "rule": rule},
+            {"T": average_thickness(shape, m, grid), "rule": "zonal" if zonal else "tensor"},
             echo,
-            grid=_grid_meta(grid),
+            grid={"n": grid.dimension, "resolution": grid.resolution, "node_count": nodes},
         )
 
 
@@ -530,37 +523,26 @@ def verify_factorization(cfg, codim, points, seed, tolerance):
 @click.option("--area", type=float, required=True, help="total area A")
 @click.option("--centroid", type=float, required=True, help="centroid distance G")
 @click.option("--gamma-sweep", "gammas_text", required=True, help="comma list of gamma")
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--samples", type=int, default=None, help="ignored (T_exact is exact)")
+@click.option("--seed", type=int, default=0, help="ignored (T_exact is exact)")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.pass_obj
 @_handle_errors
-def dumbbell(cfg, area, centroid, gammas_text, samples, seed, out_path):
-    """Two-disc thickness sweep: asymptotic vs Monte Carlo, CSV output."""
+def dumbbell(area, centroid, gammas_text, samples, seed, out_path):
+    """Two-disc thickness sweep: asymptotic vs exact, CSV output.
+
+    T_exact is the closed form and its stderr column is 0; --samples and
+    --seed are accepted and ignored.
+    """
     try:
         gammas = [float(tok) for tok in gammas_text.split(",") if tok.strip()]
     except ValueError:
         raise click.BadParameter(f"bad gamma list {gammas_text!r}")
     if not gammas:
         raise click.BadParameter("gamma sweep is empty")
-    samples = _pick(samples, cfg, "samples", 2_000_000)
-    configs = [DumbbellConfig(area, centroid, g) for g in gammas]
-    workers = min(len(configs), os.cpu_count() or 1)
-    env = os.environ.get("HYPERTHICK_THREADS")
-    if env:
-        try:
-            workers = max(1, min(workers, int(env)))
-        except ValueError:
-            raise click.UsageError(f"HYPERTHICK_THREADS must be an integer, got {env!r}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(dumbbell_thickness, c, True, samples, [seed, i])
-            for i, c in enumerate(configs)
-        ]
-        exact = [f.result() for f in futures]
     rows = []
-    for cfg_i, (est, err) in zip(configs, exact):
-        rows.append((cfg_i.gamma, dumbbell_thickness(cfg_i), est, err))
+    for gamma in gammas:
+        config = DumbbellConfig(area, centroid, gamma)
+        rows.append((gamma, dumbbell_thickness(config), *dumbbell_thickness(config, True)))
     text = _csv_text(("gamma", "T_asymptotic", "T_exact", "stderr"), rows)
     if out_path is None:
         click.echo(text, nl=False)

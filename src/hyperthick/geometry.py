@@ -17,10 +17,10 @@ each polar angle (the sin-power density is the Jacobi weight function, so
 weight sums are exact; see polar_rule) and a uniform trapezoid rule in the
 azimuth. Grids are stored in factored per-axis form; dense enumeration
 happens in blocks of unit direction vectors, so large grids never
-materialize all at once. Integrands that depend on u_1 alone (zonal ones)
-need only the first polar axis: DirectionGrid.zonal_rule folds the other
-axes into their weight sums, so the rule has resolution * refine nodes
-whatever n is. Angles are the chart that builds grids and reads shape
+materialize all at once, and the node budget applies there. Integrands
+that depend on u_1 alone (zonal ones) need only the first polar axis:
+DirectionGrid.zonal_rule folds the other axes into their weight sums, so
+the rule has resolution * refine nodes whatever n is. Angles are the chart that builds grids and reads shape
 tables; everything that evaluates a radius works on the unit vectors.
 
 legendre_angles is the Gauss-Legendre rule on [0, pi] shared by the
@@ -242,7 +242,13 @@ class DirectionGrid:
         axes: the unit vectors of the trailing sub-chart are built once from
         per-axis cosine and sine tables, and each block only scales them by
         the leading angles' sine product, so no node pays for trigonometry.
+        A tensor product of more than ``node_budget`` nodes raises BudgetError.
         """
+        if self.node_count > self.node_budget:
+            raise BudgetError(
+                f"grid holds {self.node_count} nodes, over the budget of "
+                f"{self.node_budget}; lower the resolution or raise node_budget"
+            )
         sizes = [nodes.size for nodes, _ in self.axes]
         num_axes = len(sizes)
         # longest suffix whose node count fits in a block
@@ -356,7 +362,8 @@ def build_grid(
     Polar angle i (density power p = n-1-i) gets the polar_rule of
     ``resolution * refine`` nodes for that power. The azimuth gets
     ``resolution`` uniform nodes (trapezoid on the circle). Total node count
-    is resolution^(n-1) when refine == 1.
+    is resolution^(n-1) when refine == 1; iter_blocks refuses to enumerate
+    more than node_budget of them, while zonal_rule needs only the first axis.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"grids require an integer dimension n >= 2, got {n!r}")
@@ -364,11 +371,15 @@ def build_grid(
         raise DomainError(f"resolution must be a positive integer, got {resolution!r}")
     if not isinstance(refine, int) or refine < 1:
         raise DomainError(f"refine must be a positive integer, got {refine!r}")
-    count = (resolution * refine) ** (n - 2) * resolution
-    if count > node_budget:
+    # only the per-axis tables are built here; the tensor product is checked
+    # against node_budget where iter_blocks enumerates it. Each polar table is
+    # a Jacobi eigenproblem costing about its size squared, so capping the
+    # polar nodes at sqrt(node_budget) keeps that work within the budget.
+    polar = (n - 2) * resolution * refine
+    if polar > math.isqrt(node_budget) or resolution > node_budget:
         raise BudgetError(
-            f"grid would hold {count} nodes, over the budget of {node_budget}; "
-            "lower the resolution or raise node_budget"
+            f"per-axis tables would hold {polar} polar and {resolution} azimuth "
+            f"nodes, over the limits of {math.isqrt(node_budget)} and {node_budget}"
         )
     axes = [polar_rule(resolution * refine, n - 1 - i) for i in range(1, n - 1)]
     az_nodes = TWO_PI * np.arange(resolution) / resolution

@@ -215,8 +215,9 @@ def _newton(k: int, a: float, b, x, lo, hi, step_tol: float, max_iter: int) -> n
     )
 
 
-def _radial_newton(k: int, lam: float, mu: float, cos_t: np.ndarray) -> np.ndarray:
+def _radial_newton(params: StationaryParams, cos_t: np.ndarray) -> np.ndarray:
     """Smallest positive root of the stationary equation per direction."""
+    k, lam, mu = params.k, params.lam, params.mu
     c = mu * cos_t  # the r^(k+1) coefficient enters as -c
     sphere = lam ** (-1.0 / k)
     r = np.full(c.shape, sphere)
@@ -230,6 +231,14 @@ def _radial_newton(k: int, lam: float, mu: float, cos_t: np.ndarray) -> np.ndarr
     # mu is so small that r_star itself would overflow.
     z_plus = ((k + 1.0) / lam) ** (1.0 / k)
     neg = c < 0.0
+    if params.ecc >= 1.0:
+        # e cos(theta) = 1 is the double root r_star = k lam/((k+1)|c|)
+        # itself; Newton would stop about sqrt(NEWTON_TOL) short of it, so
+        # it is returned directly, whichever way rounding tips the tests below
+        touch = params.ecc * cos_t == 1.0
+        r[touch] = k * lam / ((k + 1.0) * -c[touch])
+        solve &= ~touch
+        neg &= ~touch
     capped = neg & (k * lam > (k + 1.0) * -c * z_plus)
     hi[capped] = z_plus
     dip = np.flatnonzero(neg & ~capped)
@@ -287,7 +296,7 @@ def _radial_from_cos(params: StationaryParams, cos_t: np.ndarray) -> np.ndarray:
             rho = 2.0 * np.cosh(np.arccosh(-q[~trig]) / 3.0)
             r[~trig] = math.sqrt(3.0 / lam) / rho
     else:
-        r = _radial_newton(k, lam, mu, cos_t)
+        r = _radial_newton(params, cos_t)
 
     res = np.abs(_residual(k, lam, mu, r, cos_t))
     if np.any(res > RESIDUAL_TOL):

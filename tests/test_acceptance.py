@@ -297,21 +297,23 @@ def test_c09_multiplier_recovery():
 def test_c10_dumbbell_supremum():
     def crit():
         area, centroid = math.pi, 10.0
-        plan = [(0.1, 2_000_000), (0.05, 4_000_000), (0.02, 10_000_000), (0.01, 40_000_000)]
+        gammas = (0.1, 0.05, 0.02, 0.01, 1e-3, 1e-4)
         bound = 2.0 * math.sqrt(area / math.pi)
-        estimates, min_margin, worst_gap = [], math.inf, 0.0
-        for idx, (gamma, samples) in enumerate(plan):
+        accuracy = 1e-14  # relative, verified against mpmath in test_analysis
+        values, min_margin, worst_gap, errors = [], math.inf, 0.0, set()
+        for gamma in gammas:
             config = DumbbellConfig(area, centroid, gamma)
-            est, err = dumbbell_thickness(config, exact=True, samples=samples, seed=[5, idx])
+            value, err = dumbbell_thickness(config, exact=True)
             asym = dumbbell_thickness(config)
-            min_margin = min(min_margin, (bound - est) / err)
-            allowance = 4.0 * err + 0.5 * gamma**2 * math.sqrt(area / math.pi)
-            worst_gap = max(worst_gap, abs(est - asym) / allowance)
-            estimates.append(est)
-        monotone = all(a < b for a, b in zip(estimates, estimates[1:]))
-        ok = min_margin > 3.0 and worst_gap <= 1.0 and monotone
+            errors.add(err)
+            min_margin = min(min_margin, (bound - value) / (accuracy * value))
+            allowance = 0.5 * gamma**2 * math.sqrt(area / math.pi)
+            worst_gap = max(worst_gap, abs(value - asym) / allowance)
+            values.append(value)
+        monotone = all(a < b for a, b in zip(values, values[1:]))
+        ok = min_margin > 100.0 and worst_gap <= 1.0 and monotone and errors == {0.0}
         detail = (
-            f"min margin {min_margin:.1f} stderr, asymptotic gap {worst_gap:.2f} of "
+            f"min margin {min_margin:.3g} x accuracy, asymptotic gap {worst_gap:.2e} of "
             f"allowance, monotone {monotone}"
         )
         return ok, detail

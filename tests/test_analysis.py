@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from hyperthick import (
     unit_sphere_area,
     unit_vectors,
 )
+from hyperthick.analysis import _far_disc_factor
 from hyperthick.errors import DomainError, GeometryError, RankError
 
 
@@ -286,27 +288,58 @@ def test_dumbbell_config_validation():
         DumbbellConfig(area=1.0, centroid_distance=-1.0, gamma=0.5)
 
 
-def test_dumbbell_montecarlo_matches_asymptotic():
+def test_dumbbell_exact_matches_asymptotic():
     c = DumbbellConfig(area=math.pi, centroid_distance=10.0, gamma=0.1)
     asym = dumbbell_thickness(c)
-    est, err = dumbbell_thickness(c, exact=True, samples=400_000, seed=3)
-    assert err > 0.0
-    assert abs(est - asym) < 4.0 * err
-    # supremum 2 sqrt(A/pi) = 2 is approached from below, never attained
-    assert est < 2.0
+    exact, err = dumbbell_thickness(c, exact=True)
+    assert err == 0.0
+    # the far disc's point-mass value times 1 + k^2/8 + 3k^4/64, k = a/d; the
+    # next term, about 0.025 k^6 = 2.4e-17 here, is below rounding
+    k2 = c.radius_far**2 / c.x_far**2
+    want = 2.0 * math.sqrt(0.9) + 1e-3 * (1.0 + k2 / 8.0 + 3.0 * k2 * k2 / 64.0)
+    assert exact == pytest.approx(want, rel=1e-15)
+    assert asym < exact < 2.0  # supremum 2 sqrt(A/pi) = 2 approached, never attained
+    # samples and seed are accepted and ignored
+    assert dumbbell_thickness(c, True, 10, [3, 1]) == (exact, 0.0)
 
 
-def test_dumbbell_montecarlo_is_deterministic():
-    c = DumbbellConfig(area=math.pi, centroid_distance=10.0, gamma=0.1)
-    a = dumbbell_thickness(c, exact=True, samples=50_000, seed=12)
-    b = dumbbell_thickness(c, exact=True, samples=50_000, seed=12)
-    assert a == b
-    other = dumbbell_thickness(c, exact=True, samples=50_000, seed=13)
-    assert a != other
+def _dumbbell_mpmath(c):
+    """T_exact at 40 digits from mpmath's complete elliptic integrals."""
+    with mpmath.workdps(40):
+        area, gamma = mpmath.mpf(c.area), mpmath.mpf(c.gamma)
+        r_near = mpmath.sqrt(area * (1 - gamma) / mpmath.pi)
+        r_far = mpmath.sqrt(area * gamma / mpmath.pi)
+        x_far = mpmath.mpf(c.centroid_distance) / gamma
+        m = (r_far / x_far) ** 2
+        b = (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m)) / m
+        return float(2 * r_near + area * gamma / (mpmath.pi * x_far) * 4 / mpmath.pi * b)
 
 
-def test_dumbbell_sample_validation():
-    c = DumbbellConfig(area=math.pi, centroid_distance=10.0, gamma=0.1)
-    for bad in (0, 1, -5, 2.5):
-        with pytest.raises(DomainError):
-            dumbbell_thickness(c, exact=True, samples=bad)
+@pytest.mark.parametrize(
+    "area,gamma,k",
+    [
+        (math.pi, 0.1, 1e-4),
+        (2.5, 0.3, 1e-3),
+        (0.7, 0.05, 1e-2),
+        (math.pi, 0.1, 0.1),
+        (4.0, 0.9, 0.3),
+        (math.pi, 0.999, 0.5),
+        (1.3, 0.999, 0.9),
+        (math.pi, 0.999, 0.95),
+    ],
+)
+def test_dumbbell_exact_matches_elliptic_integrals(area, gamma, k):
+    # far disc radius a at distance d = a / k; k = 1e-4 is where the naive
+    # E - (1 - k^2) K loses k^2 to cancellation
+    r_far = math.sqrt(area * gamma / math.pi)
+    c = DumbbellConfig(area, gamma * r_far / k, gamma)
+    got, _ = dumbbell_thickness(c, exact=True)
+    assert abs(got / _dumbbell_mpmath(c) - 1.0) <= 1e-14
+
+
+def test_far_disc_factor_series():
+    # (4/pi) B(k) = 1 + k^2/8 + 3k^4/64 + (25/1024) k^6 + ...
+    assert _far_disc_factor(0.0) == 1.0
+    for k in (1e-2, 5e-3, 1e-3, 1e-4):
+        series = k * k / 8.0 + 3.0 * k**4 / 64.0
+        assert abs((_far_disc_factor(k) - 1.0) - series) <= 0.025 * k**6 + 2.0**-52

@@ -128,6 +128,32 @@ def test_thickness_reports_quadrature_rule(runner, tmp_path):
     assert "rule" not in payload(mc)
 
 
+def test_thickness_node_count_is_the_rule_size(runner, tmp_path):
+    # a zonal rule integrates the first polar axis only; a tensor rule all nodes
+    zonal = invoke(runner, ["thickness", "--shape", "ball:1.5", "--n", "3", "--m", "1",
+                            "--resolution", "64"])
+    assert payload(zonal)["rule"] == "zonal"
+    assert payload(zonal)["grid_resolution"]["node_count"] == 64
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"n": 3, "resolution": 8, "values": [1.2] * 64}))
+    tensor = invoke(runner, ["thickness", "--shape", f"file:{path}", "--m", "1",
+                             "--resolution", "16"])
+    assert payload(tensor)["rule"] == "tensor"
+    assert payload(tensor)["grid_resolution"]["node_count"] == 16 * 16
+
+
+def test_thickness_zonal_ball_nine_dimensions(runner):
+    # the tensor product would be 16^8 nodes, over the node budget; the zonal
+    # rule never enumerates it
+    result = invoke(runner, ["thickness", "--shape", "ball:1", "--n", "9", "--m", "2",
+                             "--resolution", "16"])
+    assert result.exit_code == 0, result.output
+    doc = payload(result)
+    assert doc["rule"] == "zonal"
+    assert doc["grid_resolution"]["node_count"] == 16
+    assert abs(doc["T"] - math.pi) <= 1e-14 * math.pi
+
+
 def test_thickness_harmonic_two_dimensional(runner):
     result = invoke(
         runner,
@@ -336,7 +362,6 @@ def test_dumbbell_csv_stdout(runner):
         runner,
         ["dumbbell", "--area", "3.14159", "--centroid", "10",
          "--gamma-sweep", "0.1,0.05", "--samples", "40000", "--seed", "4"],
-        env={"HYPERTHICK_THREADS": "1"},
     )
     assert result.exit_code == 0
     raw = result.stdout_bytes.decode()  # result.output folds the \r\n endings
@@ -345,8 +370,8 @@ def test_dumbbell_csv_stdout(runner):
     rows = [tuple(map(float, ln.split(","))) for ln in lines[1:] if ln]
     assert [r[0] for r in rows] == [0.1, 0.05]
     for gamma, asym, exact, err in rows:
-        assert err > 0.0
-        assert abs(exact - asym) < 8.0 * err
+        assert err == 0.0
+        assert abs(exact - asym) <= 0.5 * gamma**2 * math.sqrt(3.14159 / math.pi)
 
 
 def test_dumbbell_csv_file_output(runner, tmp_path):
@@ -355,7 +380,6 @@ def test_dumbbell_csv_file_output(runner, tmp_path):
         runner,
         ["dumbbell", "--area", "3.14159", "--centroid", "10",
          "--gamma-sweep", "0.1", "--samples", "20000", "--out", str(out)],
-        env={"HYPERTHICK_THREADS": "1"},
     )
     assert result.exit_code == 0
     assert result.output == ""
@@ -367,7 +391,6 @@ def test_dumbbell_overlap_is_clean_error(runner):
         runner,
         ["dumbbell", "--area", "3.14159", "--centroid", "0.5",
          "--gamma-sweep", "0.9", "--samples", "1000"],
-        env={"HYPERTHICK_THREADS": "1"},
     )
     assert result.exit_code == 1
     assert payload(result)["error"] == "GeometryError"
@@ -380,17 +403,6 @@ def test_dumbbell_bad_gamma_list(runner):
             ["dumbbell", "--area", "1", "--centroid", "1", "--gamma-sweep", bad],
         )
         assert result.exit_code == 2
-
-
-def test_dumbbell_bad_thread_env(runner):
-    result = invoke(
-        runner,
-        ["dumbbell", "--area", "3.14159", "--centroid", "10",
-         "--gamma-sweep", "0.1", "--samples", "1000"],
-        env={"HYPERTHICK_THREADS": "lots"},
-    )
-    assert result.exit_code == 2
-    assert "HYPERTHICK_THREADS" in result.output
 
 
 # ---------------------------------------------------------------------------

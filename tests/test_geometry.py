@@ -161,8 +161,18 @@ def test_legendre_angles_are_cached_and_read_only():
 
 
 def test_budget_limits():
+    grid = build_grid(8, 48)  # per-axis tables only; the tensor product is 48^7
     with pytest.raises(BudgetError):
-        build_grid(8, 48)
+        next(grid.iter_blocks())
+    # per-axis guard: polar nodes at most sqrt(node_budget), azimuth at most
+    # node_budget
+    build_grid(3, 32, node_budget=1024)
+    with pytest.raises(BudgetError):
+        build_grid(3, 33, node_budget=1024)
+    with pytest.raises(BudgetError):
+        build_grid(4, 17, node_budget=1024)
+    with pytest.raises(BudgetError):
+        build_grid(2, 1025, node_budget=1024)
     grid = build_grid(5, 32)
     with pytest.raises(BudgetError):
         grid.angles(limit=1000)

@@ -359,12 +359,24 @@ def test_vectorized_newton_raises_for_open_directions(k):
     # the solver's own check, behind the e cos(theta) > 1 screen
     assert _newton_branch(k, 1.0, p.mu, 1.0) == "no-root"
     with pytest.raises(NoRootError):
-        _radial_newton(k, 1.0, p.mu, np.array([-1.0, 0.5, 1.0]))
+        _radial_newton(p, np.array([-1.0, 0.5, 1.0]))
     # directions that keep a boundary still solve
     cos_t = np.array([-1.0, 0.0, 0.5])
-    got = _radial_newton(k, 1.0, p.mu, cos_t)
+    got = _radial_newton(p, cos_t)
     want = [radial_oracle(k, 1.0, p.mu, ct) for ct in cos_t]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_cusp_direction_is_the_exact_double_root(k):
+    # e cos(theta) = 1 is the tangency radius k lam / ((k+1)|mu|) exactly,
+    # whichever way rounding tips p(r_star) or the z_plus cap
+    for lam in (0.7, 1.0, 1.3):
+        p = StationaryParams(n=k + 1, m=1, lam=lam, ecc=1.0)
+        want = k * lam / ((k + 1) * abs(p.mu))
+        assert abs(radial_profile(p, 0.0) / want - 1.0) <= 1e-15
+        got = radial_profile(p, np.array([0.0, 0.5 * math.pi]))
+        assert abs(got[0] / want - 1.0) <= 1e-15
 
 
 def per_point_radius(k, lam, mu, cos_t):
