@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, ProjectionError, RankError
+from .errors import DomainError, GeometryError, ProjectionError, RankError, check_int, check_real
 from .geometry import DirectionGrid, _check_axis, build_grid, unit_vectors
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .stationary import StationaryParams, _radial_from_cos
@@ -66,6 +66,8 @@ def stationarity_residual(
     """
     n = shape.dimension
     m = _check_section_dim(m, n)
+    lam = check_real(lam, "lambda")
+    mu = check_real(mu, "mu", low=None)
     if grid.dimension != n:
         raise DomainError(f"grid dimension {grid.dimension} != shape dimension {n}")
     a = _check_axis(axis, n)
@@ -95,14 +97,13 @@ class DeformationSample:
     angles: np.ndarray
 
     def __post_init__(self):
+        n = check_int(self.n, "n", 2)
         radii = np.asarray(self.radii, dtype=float)
         angles = np.asarray(self.angles, dtype=float)
-        count = self.n + 2
-        if radii.shape != (count,) or angles.shape != (count, self.n - 1):
-            raise DomainError(
-                f"need exactly n+2 = {count} points with {self.n - 1} angles each"
-            )
-        object.__setattr__(self, "m", _check_section_dim(self.m, self.n))
+        if radii.shape != (n + 2,) or angles.shape != (n + 2, n - 1):
+            raise DomainError(f"need exactly n+2 = {n + 2} points with {n - 1} angles each")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", _check_section_dim(self.m, n))
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angles", angles)
 
@@ -121,27 +122,25 @@ class DeformationSample:
         return np.stack(cols, axis=1)
 
 
-def nullvector_recover(
-    sample: DeformationSample, threshold: float = RANK_THRESHOLD
-) -> tuple[float, np.ndarray, float]:
+def nullvector_recover(sample: DeformationSample) -> tuple[float, np.ndarray, float]:
     """Multipliers (lambda, mu vector) from the null space of the sample matrix.
 
     The null direction is taken from the SVD and normalized to a leading 1;
     the returned condition number is the smallest over second-smallest
     singular value, the published degeneracy diagnostic. A ratio at or above
-    the threshold means the points do not lie on one stationary shape (or are
+    RANK_THRESHOLD means the points do not lie on one stationary shape (or are
     degenerate) and raises a rank error carrying the spectrum.
     """
     a = sample.matrix()
     _, s, vt = np.linalg.svd(a)
-    if s[0] == 0.0 or not s[-2] > threshold * s[0]:
+    if s[0] == 0.0 or not s[-2] > RANK_THRESHOLD * s[0]:
         # two vanishing singular values: the multipliers are not identifiable
         raise RankError(
             "null space dimension exceeds one; sample directions are degenerate",
             singular_values=s,
         )
     ratio = s[-1] / s[-2]
-    if not ratio < threshold:
+    if not ratio < RANK_THRESHOLD:
         raise RankError(
             f"null space is not one-dimensional (sv ratio {ratio:.3e})",
             singular_values=s,
@@ -218,11 +217,9 @@ def sphere_optimality_test(
     integrands; the comparison baseline is the grid value of the ball's own
     thickness, cancelling what little quadrature rounding there is.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+    n = check_int(n, "n", 2)
     m = _check_section_dim(m, n)
-    if not isinstance(trials, int) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    trials = check_int(trials, "trials", 1)
     if not 0.0 <= amplitude <= 0.1:
         raise DomainError(f"amplitude must lie in [0, 0.1], got {amplitude!r}")
     if resolution is None:
@@ -264,12 +261,8 @@ class DumbbellConfig:
     gamma: float
 
     def __post_init__(self):
-        if not (self.area > 0.0 and math.isfinite(self.area)):
-            raise DomainError(f"area must be positive, got {self.area!r}")
-        if not (self.centroid_distance > 0.0 and math.isfinite(self.centroid_distance)):
-            raise DomainError(
-                f"centroid distance must be positive, got {self.centroid_distance!r}"
-            )
+        check_real(self.area, "area")
+        check_real(self.centroid_distance, "centroid distance")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma!r}")
 

@@ -30,7 +30,7 @@ from .analysis import (
     sphere_optimality_test,
     stationary_shape,
 )
-from .errors import DomainError, HyperthickError, RankError
+from .errors import DomainError, HyperthickError, RankError, check_int
 from .geometry import build_grid, cartesian_to_spherical
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .properties import (
@@ -162,8 +162,7 @@ def _shape_from_file(path: str) -> StarShape:
         if key not in doc:
             raise DomainError(f"shape file {path} is missing key {key!r}")
     n, resolution = doc["n"], doc["resolution"]
-    refine = doc.get("refine", 1)
-    grid = build_grid(n, resolution, refine)
+    grid = build_grid(n, resolution)
     coords = [nodes.copy() for nodes, _ in grid.axes]
     values = np.asarray(doc["values"], dtype=float)
     if values.shape != (grid.node_count,):
@@ -294,8 +293,7 @@ def stationary():
 @_handle_errors
 def profile(codim, lam, ecc, points, out_path):
     """Write the profile curve (z, R) as CSV plus a JSON sidecar."""
-    if codim < 1:
-        raise DomainError(f"codimension must be >= 1, got {codim}")
+    check_int(codim, "codimension n - m", 1)
     params = StationaryParams(n=codim + 1, m=1, lam=lam, ecc=ecc)
     curve = profile_curve(params, points)
     rows = [(float(z), float(r)) for z, r in zip(curve.z, curve.radius)]
@@ -504,8 +502,6 @@ def verify_factorization(cfg, codim, points, seed, tolerance):
     rng = np.random.default_rng(seed)
     checks = []
     for k in ks:
-        if k < 1:
-            raise DomainError(f"codimension must be >= 1, got {k}")
         w = rng.uniform(0.0, 2.0, size=points)
         worst = float(np.max(factorization_residual(k, w)))
         checks.append(

@@ -1,4 +1,12 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the two scalar argument rules.
+
+Every integer argument (a dimension, a node or sample count) goes through
+check_int and every size or multiplier through check_real, so each rule is
+written once and raises DomainError the same way.
+"""
+
+import math
+import numbers
 
 
 class HyperthickError(Exception):
@@ -58,3 +66,39 @@ class RankError(HyperthickError):
     def __init__(self, message: str, singular_values=None):
         super().__init__(message)
         self.singular_values = None if singular_values is None else list(singular_values)
+
+
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int if it is an integer in [low, high], else DomainError.
+
+    Python and numpy integers pass; bool, floats and everything else do not.
+    ``high=None`` leaves the range open above.
+    """
+    # int is listed before the ABC: it is tested without the ABC machinery,
+    # which costs several times the rest of the check
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, numbers.Integral))
+        or value < low
+        or (high is not None and value > high)
+    ):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str, low: float | None = 0.0, inclusive: bool = False) -> float:
+    """``value`` as a float if it is a finite real above ``low``, else DomainError.
+
+    ``inclusive`` admits ``low`` itself, and ``low=None`` admits every finite
+    value. Python and numpy reals pass (integers too); bool does not.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (float, int, numbers.Real))  # as in check_int
+        or not math.isfinite(value)
+        or (low is not None and not (value >= low if inclusive else value > low))
+    ):
+        span = "" if low is None else f" {'>=' if inclusive else '>'} {low:g}"
+        raise DomainError(f"{name} must be a finite real{span}, got {value!r}")
+    return float(value)

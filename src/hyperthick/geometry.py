@@ -20,8 +20,9 @@ happens in blocks of unit direction vectors, so large grids never
 materialize all at once, and the node budget applies there. Integrands
 that depend on u_1 alone (zonal ones) need only the first polar axis:
 DirectionGrid.zonal_rule folds the other axes into their weight sums, so
-the rule has resolution * refine nodes whatever n is. Angles are the chart that builds grids and reads shape
-tables; everything that evaluates a radius works on the unit vectors.
+the rule has resolution nodes whatever n is. Angles are the chart that
+builds grids and reads shape tables; everything that evaluates a radius
+works on the unit vectors.
 
 legendre_angles is the Gauss-Legendre rule on [0, pi] shared by the
 meridian quadrature of stationary shapes and the axis-aligned section rule;
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .errors import BudgetError, ConvergenceError, DomainError
+from .errors import BudgetError, ConvergenceError, DomainError, check_int
 from .nsphere import unit_sphere_area
 
 __all__ = [
@@ -194,7 +195,6 @@ class DirectionGrid:
 
     dimension: int
     resolution: int
-    refine: int
     axes: tuple = field(repr=False)
     node_budget: int = DEFAULT_NODE_BUDGET
 
@@ -224,14 +224,6 @@ class DirectionGrid:
         nodes, weights = self.axes[0]
         rest = math.prod(float(w.sum()) for _, w in self.axes[1:])
         return np.cos(nodes), weights * rest
-
-    def descriptor(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "resolution": self.resolution,
-            "refine": self.refine,
-            "node_count": self.node_count,
-        }
 
     def iter_blocks(self, max_block: int = DEFAULT_BLOCK):
         """Yield (u, weights) blocks covering the full tensor product.
@@ -328,8 +320,7 @@ def polar_rule(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     through arccos. The rule integrates the density exactly and smooth
     integrands spectrally.
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"node count must be a positive integer, got {count!r}")
+    count = check_int(count, "node count", 1)
     alpha = (power - 1) / 2.0
     t, w = roots_jacobi(count, alpha, alpha)
     # ascending polar angle; arccos reverses the node order
@@ -354,43 +345,35 @@ def legendre_angles(count: int) -> tuple[np.ndarray, np.ndarray]:
 def build_grid(
     n: int,
     resolution: int,
-    refine: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DirectionGrid:
     """Build the tensor-product sphere rule for R^n.
 
     Polar angle i (density power p = n-1-i) gets the polar_rule of
-    ``resolution * refine`` nodes for that power. The azimuth gets
-    ``resolution`` uniform nodes (trapezoid on the circle). Total node count
-    is resolution^(n-1) when refine == 1; iter_blocks refuses to enumerate
-    more than node_budget of them, while zonal_rule needs only the first axis.
+    ``resolution`` nodes for that power. The azimuth gets ``resolution``
+    uniform nodes (trapezoid on the circle). Total node count is
+    resolution^(n-1); iter_blocks refuses to enumerate more than node_budget
+    of them, while zonal_rule needs only the first axis.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"grids require an integer dimension n >= 2, got {n!r}")
-    if not isinstance(resolution, int) or resolution < 1:
-        raise DomainError(f"resolution must be a positive integer, got {resolution!r}")
-    if not isinstance(refine, int) or refine < 1:
-        raise DomainError(f"refine must be a positive integer, got {refine!r}")
+    n = check_int(n, "grid dimension n", 2)
+    resolution = check_int(resolution, "resolution", 1)
+    node_budget = check_int(node_budget, "node_budget", 1)
     # only the per-axis tables are built here; the tensor product is checked
     # against node_budget where iter_blocks enumerates it. Each polar table is
     # a Jacobi eigenproblem costing about its size squared, so capping the
     # polar nodes at sqrt(node_budget) keeps that work within the budget.
-    polar = (n - 2) * resolution * refine
+    polar = (n - 2) * resolution
     if polar > math.isqrt(node_budget) or resolution > node_budget:
         raise BudgetError(
             f"per-axis tables would hold {polar} polar and {resolution} azimuth "
             f"nodes, over the limits of {math.isqrt(node_budget)} and {node_budget}"
         )
-    axes = [polar_rule(resolution * refine, n - 1 - i) for i in range(1, n - 1)]
+    axes = [polar_rule(resolution, n - 1 - i) for i in range(1, n - 1)]
     az_nodes = TWO_PI * np.arange(resolution) / resolution
     az_weights = np.full(resolution, TWO_PI / resolution)
     axes.append((az_nodes, az_weights))
     grid = DirectionGrid(
-        dimension=n,
-        resolution=resolution,
-        refine=refine,
-        axes=tuple(axes),
-        node_budget=node_budget,
+        dimension=n, resolution=resolution, axes=tuple(axes), node_budget=node_budget
     )
     # cheap self-check: the factored weight sum must reproduce the sphere area
     total, area = grid.sum_weights(), unit_sphere_area(n - 1)

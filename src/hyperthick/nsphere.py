@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import check_int, check_real
 
 __all__ = ["gamma", "unit_ball_volume", "unit_sphere_area"]
 
@@ -28,9 +28,7 @@ def gamma(x: float) -> float:
     formulas; everything else defers to the platform Lanczos implementation,
     which is accurate to a few ulp.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma requires a positive finite argument, got {x!r}")
+    x = check_real(x, "gamma argument")
     if x <= _EXACT_CUTOFF:
         n = round(x)
         if x == n:
@@ -47,7 +45,7 @@ def gamma(x: float) -> float:
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1). V_0 = 1."""
-    n = _check_dim(n, "unit_ball_volume")
+    n = check_int(n, "ball dimension n", 0)
     return math.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
@@ -56,13 +54,5 @@ def unit_sphere_area(k: int) -> float:
 
     S_0 = 2 (two points), S_1 = 2 pi, S_2 = 4 pi.
     """
-    k = _check_dim(k, "unit_sphere_area")
+    k = check_int(k, "sphere dimension k", 0)
     return 2.0 * math.pi ** ((k + 1) / 2.0) / gamma((k + 1) / 2.0)
-
-
-def _check_dim(n, where: str) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise DomainError(f"{where} requires an integer dimension, got {n!r}")
-    if n < 0:
-        raise DomainError(f"{where} requires a nonnegative dimension, got {n}")
-    return n

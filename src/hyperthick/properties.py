@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, UnboundedRegionError
+from .errors import UnboundedRegionError, check_int
 from .geometry import legendre_angles
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .stationary import (
@@ -62,8 +62,7 @@ def body_properties(params: StationaryParams, resolution: int = DEFAULT_RESOLUTI
     angle instead, where the boundary radius stays one-sidedly analytic even
     at the critical cusp.
     """
-    if not isinstance(resolution, int) or resolution < 2:
-        raise DomainError(f"resolution must be an integer >= 2, got {resolution!r}")
+    resolution = check_int(resolution, "resolution", 2)
     if params.shape_class is ShapeClass.OPEN:
         raise UnboundedRegionError("open shapes have no finite volume")
     n, m, k = params.n, params.m, params.k

@@ -36,7 +36,10 @@ from .errors import (
     OutsideSupportError,
     PoleError,
     UnboundedRegionError,
+    check_int,
+    check_real,
 )
+from .thickness import _check_section_dim
 
 __all__ = [
     "ProfileCurve",
@@ -67,8 +70,7 @@ class ShapeClass(enum.Enum):
 
 def classify(ecc: float) -> ShapeClass:
     """Shape class from the eccentricity-like parameter, exact comparisons."""
-    if not (ecc >= 0.0 and math.isfinite(ecc)):
-        raise DomainError(f"eccentricity must be finite and >= 0, got {ecc!r}")
+    ecc = check_real(ecc, "eccentricity", inclusive=True)
     if ecc == 0.0:
         return ShapeClass.SPHERE
     if ecc < 1.0:
@@ -84,27 +86,20 @@ def mu_from_ecc(k: int, lam: float, ecc: float) -> float:
     mu = -k lambda^((k+1)/k) / (k+1)^((k+1)/k) * e; at e = 1 the meridian
     R^2(z) acquires a double root on the axis.
     """
-    _check_k(k)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    if not (ecc >= 0.0 and math.isfinite(ecc)):
-        raise DomainError(f"eccentricity must be >= 0, got {ecc!r}")
+    k = check_int(k, "dimension gap n - m", 1)
+    lam = check_real(lam, "lambda")
+    ecc = check_real(ecc, "eccentricity", inclusive=True)
     p = (k + 1.0) / k
     return -k * lam**p / (k + 1.0) ** p * ecc
 
 
 def ecc_from_mu(k: int, lam: float, mu: float) -> float:
     """Inverse of mu_from_ecc on |mu|; accepts either sign of mu."""
-    _check_k(k)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    k = check_int(k, "dimension gap n - m", 1)
+    lam = check_real(lam, "lambda")
+    mu = check_real(mu, "mu", low=None)
     p = (k + 1.0) / k
     return abs(mu) * (k + 1.0) ** p / (k * lam**p)
-
-
-def _check_k(k):
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"dimension gap n - m must be a positive integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +118,10 @@ class StationaryParams:
     mu: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, v in (("n", self.n), ("m", self.m)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-        if not 1 <= self.m < self.n:
-            raise DomainError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
-        classify(self.ecc)  # validates ecc
+        n = check_int(self.n, "n", 2)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", _check_section_dim(self.m, n))
+        # mu_from_ecc validates lambda and ecc
         object.__setattr__(self, "mu", mu_from_ecc(self.k, self.lam, self.ecc))
 
     @property
@@ -347,9 +340,8 @@ def critical_support(k: int, lam: float, method: str = "auto") -> tuple[float, f
     where one exists (k in {1, 2, 4}) and bracketed Newton otherwise;
     method='closed' or 'newton' forces one route.
     """
-    _check_k(k)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    k = check_int(k, "dimension gap n - m", 1)
+    lam = check_real(lam, "lambda")
     if method not in ("auto", "closed", "newton"):
         raise DomainError(f"unknown method {method!r}")
     z_plus = ((k + 1.0) / lam) ** (1.0 / k)
@@ -386,8 +378,7 @@ def profile_curve(params: StationaryParams, count: int) -> ProfileCurve:
     Chebyshev spacing clusters samples near the endpoints, where R behaves
     like a square root (smooth cap) or meets the axis in the cusp.
     """
-    if not isinstance(count, int) or count < 2:
-        raise DomainError(f"count must be an integer >= 2, got {count!r}")
+    count = check_int(count, "count", 2)
     z_minus, z_plus = support_interval(params)
     s = np.linspace(0.0, math.pi, count)
     z = z_minus + 0.5 * (z_plus - z_minus) * (1.0 - np.cos(s))
@@ -410,7 +401,7 @@ def factorization_residual(k: int, w) -> np.ndarray:
     sum_{j=1..k} j w^(j-1); the return value is |lhs - rhs| over the largest
     term magnitude, per point.
     """
-    _check_k(k)
+    k = check_int(k, "dimension gap n - m", 1)
     ww = np.atleast_1d(np.asarray(w, dtype=float))
     lhs = 1.0 - (k + 1.0) * ww**k + k * ww ** (k + 1)
     cof = np.zeros_like(ww)

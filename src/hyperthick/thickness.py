@@ -31,7 +31,6 @@ variance is bounded.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +41,8 @@ from .errors import (
     DegenerateBodyError,
     DomainError,
     InsufficientSamplingError,
+    check_int,
+    check_real,
 )
 from .geometry import (
     DirectionGrid,
@@ -70,12 +71,14 @@ __all__ = [
 # at 2^14 the allocator keeps reusing them and the call takes none.
 MC_CHUNK = 1 << 14
 
+# bounding_radius pads its scan maximum by this factor to cover excursions
+# between scan nodes; an overestimate only costs Monte Carlo acceptance
+BOUNDING_PAD = 1.05
+
 
 def _check_section_dim(m, n: int) -> int:
     """Validate 1 <= m < n and return m as a Python int (numpy integers pass)."""
-    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or not 1 <= m < n:
-        raise DomainError(f"section dimension must satisfy 1 <= m < {n}, got {m!r}")
-    return int(m)
+    return check_int(m, "section dimension m", 1, n - 1)
 
 
 def _checked_radii(values, count: int) -> np.ndarray:
@@ -100,9 +103,7 @@ class StarShape:
     """
 
     def __init__(self, dimension: int, radial_fn: Callable, name: str = "custom"):
-        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 2:
-            raise DomainError(f"shape dimension must be an integer >= 2, got {dimension!r}")
-        self.dimension = dimension
+        self.dimension = check_int(dimension, "shape dimension", 2)
         self.name = name
         self._radial_fn = radial_fn
         self.profile = None
@@ -147,11 +148,10 @@ class StarShape:
 
     @staticmethod
     def ball(dimension: int, radius: float = 1.0) -> "StarShape":
-        if not (radius > 0.0 and math.isfinite(radius)):
-            raise DomainError(f"ball radius must be positive, got {radius!r}")
+        radius = check_real(radius, "ball radius")
         return StarShape.zonal(
             dimension,
-            lambda t: np.full(t.shape[0], float(radius)),
+            lambda t: np.full(t.shape[0], radius),
             name=f"ball:{radius:g}",
         )
 
@@ -190,16 +190,13 @@ class StarShape:
         return StarShape(dimension, fn, name="cosine_series")
 
     def scaled(self, factor: float) -> "StarShape":
-        if not (factor > 0.0 and math.isfinite(factor)):
-            raise DomainError(f"scale factor must be positive, got {factor!r}")
+        factor = check_real(factor, "scale factor")
         name = f"{self.name}*{factor:g}"
         if self.profile is not None:
             return StarShape.zonal(
-                self.dimension, lambda t, _f=float(factor): _f * self.profile(t), name=name
+                self.dimension, lambda t: factor * self.profile(t), name=name
             )
-        return StarShape(
-            self.dimension, lambda u, _f=float(factor): _f * self.radial(u), name=name
-        )
+        return StarShape(self.dimension, lambda u: factor * self.radial(u), name=name)
 
     def rotated(self, matrix) -> "StarShape":
         """Precompose directions with an orthogonal map (rows act on the right).
@@ -219,23 +216,21 @@ class StarShape:
 
         return StarShape(n, fn, name=f"{self.name}@rot")
 
-    def bounding_radius(self, scan_resolution: int = 64, pad: float = 1.05) -> float:
-        """Upper bound on the radial function from a padded grid scan.
+    def bounding_radius(self, scan_resolution: int = 64) -> float:
+        """Upper bound on the radial function: a grid scan padded by BOUNDING_PAD.
 
-        The pad covers excursions between scan nodes; an overestimate only
-        costs Monte Carlo acceptance, never correctness. Zonal shapes scan
-        their profile on the first polar axis of the same grid, which holds
-        every u_1 value the full scan visits, so the bound is the same at a
-        cost independent of n.
+        Zonal shapes scan their profile on the first polar axis of the same
+        grid, which holds every u_1 value the full scan visits, so the bound
+        is the same at a cost independent of n.
         """
         if self.profile is not None:
             angles, _ = polar_rule(scan_resolution, self.dimension - 2)
-            return float(self._profile_radii(np.cos(angles)).max()) * pad
+            return float(self._profile_radii(np.cos(angles)).max()) * BOUNDING_PAD
         grid = build_grid(self.dimension, scan_resolution)
         top = 0.0
         for u, _ in grid.iter_blocks():
             top = max(top, float(self.radial(u).max()))
-        return top * pad
+        return top * BOUNDING_PAD
 
     def indicator(self, scan_resolution: int = 64) -> "IndicatorBody":
         """Indicator view of the same body, for the Monte Carlo estimator."""
@@ -267,10 +262,7 @@ class IndicatorBody:
     bounding_radius: float
 
     def __post_init__(self):
-        if not (self.bounding_radius > 0.0 and math.isfinite(self.bounding_radius)):
-            raise DomainError(
-                f"bounding radius must be positive and finite, got {self.bounding_radius!r}"
-            )
+        check_real(self.bounding_radius, "bounding radius")
 
 
 @dataclass(frozen=True)
@@ -360,8 +352,7 @@ def thickness_montecarlo(
     """
     n = body.dimension
     m = _check_section_dim(m, n)
-    if not isinstance(samples, int) or samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples!r}")
+    samples = check_int(samples, "samples", 1)
     radius = float(body.bounding_radius)
     rng = np.random.default_rng(seed)
     coef = unit_ball_volume(m) * radius**m
@@ -400,7 +391,7 @@ def axis_section_average(shape: StarShape, axis, grid: DirectionGrid) -> float:
     axis = np.asarray(axis, dtype=float)
     q = frame_from_pole(axis)  # validates unit length
 
-    theta, w_theta = legendre_angles(grid.resolution * grid.refine)
+    theta, w_theta = legendre_angles(grid.resolution)
     n_phi = grid.resolution
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi

@@ -219,6 +219,25 @@ def test_thickness_file_shape_errors(runner, tmp_path):
     doc = payload(invoke(runner, ["thickness", "--shape", f"file:{missing_key}", "--m", "1"]))
     assert "resolution" in doc["detail"]
 
+    # "refine" is not a shape-file key: a table refined along the polar axis
+    # holds more values than the file's resolution^(n-1) grid
+    refined = tmp_path / "refined.json"
+    refined.write_text(json.dumps({"n": 3, "resolution": 8, "refine": 2, "values": [1.0] * 128}))
+    result = invoke(runner, ["thickness", "--shape", f"file:{refined}", "--m", "1"])
+    assert result.exit_code == 1
+    assert "values" in payload(result)["detail"]
+
+
+@pytest.mark.parametrize("key", ["n", "resolution"])
+def test_thickness_file_shape_bool_size_is_a_clean_error(runner, tmp_path, key):
+    doc = {"n": 3, "resolution": 8, "values": [1.0] * 64}
+    doc[key] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["thickness", "--shape", f"file:{path}", "--m", "1"])
+    assert result.exit_code == 1
+    assert payload(result)["error"] == "DomainError"
+
 
 # ---------------------------------------------------------------------------
 # stationary commands

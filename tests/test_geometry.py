@@ -130,7 +130,7 @@ def test_block_sums_match_materialized_dot():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_zonal_rule_folds_the_tensor_grid(n):
-    grid = build_grid(n, 9, refine=2)
+    grid = build_grid(n, 18)
     t, w = grid.zonal_rule()
     assert t.shape == w.shape == (18,)
     # the nodes are exactly the u_1 values the blocks carry
@@ -178,13 +178,6 @@ def test_budget_limits():
         grid.angles(limit=1000)
 
 
-def test_refine_concentrates_polar_axes():
-    grid = build_grid(3, 8, refine=3)
-    assert grid.axes[0][0].size == 24
-    assert grid.axes[1][0].size == 8
-    assert grid.node_count == 24 * 8
-
-
 def test_grid_self_check_raises_on_bad_weights(monkeypatch):
     # the weight-sum check must survive python -O, so it cannot be an assert
     from hyperthick import geometry
@@ -205,8 +198,6 @@ def test_grid_rejects_bad_arguments():
         build_grid(1, 8)
     with pytest.raises(DomainError):
         build_grid(3, 0)
-    with pytest.raises(DomainError):
-        build_grid(3, 8, refine=0)
 
 
 def test_aligned_section_kernel_mass():
