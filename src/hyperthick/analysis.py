@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, ProjectionError, RankError, check_int, check_real
+from .errors import (
+    DomainError,
+    GeometryError,
+    ProjectionError,
+    RankError,
+    check_int,
+    check_real,
+    check_seed,
+)
 from .geometry import DirectionGrid, _check_axis, build_grid, unit_vectors
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .stationary import StationaryParams, _radial_from_cos
@@ -220,8 +228,10 @@ def sphere_optimality_test(
     n = check_int(n, "n", 2)
     m = _check_section_dim(m, n)
     trials = check_int(trials, "trials", 1)
-    if not 0.0 <= amplitude <= 0.1:
+    amplitude = check_real(amplitude, "amplitude", 0.0, inclusive=True)
+    if amplitude > 0.1:
         raise DomainError(f"amplitude must lie in [0, 0.1], got {amplitude!r}")
+    seed = check_seed(seed)
     if resolution is None:
         resolution = {2: 64, 3: 48}.get(n, 32)
     grid = build_grid(n, resolution)
@@ -233,7 +243,7 @@ def sphere_optimality_test(
 
     out = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+        rng = np.random.default_rng([*seed, trial])
         p = _random_direction_polynomial(rng, u)
         f = 1.0 + amplitude * p
         f = _project_constraints(f, u, w, n, v_ball)

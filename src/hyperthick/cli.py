@@ -30,7 +30,7 @@ from .analysis import (
     sphere_optimality_test,
     stationary_shape,
 )
-from .errors import DomainError, HyperthickError, RankError, check_int
+from .errors import DomainError, HyperthickError, RankError, check_int, check_seed
 from .geometry import build_grid, cartesian_to_spherical
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .properties import (
@@ -454,6 +454,7 @@ NULLVECTOR_CASES = [
 @_handle_errors
 def verify_nullvector(cfg, seed, tolerance):
     """Recover (lambda, mu) from boundary samples; reject a non-stationary blob."""
+    check_seed(seed)
     tolerance = _pick(tolerance, cfg, "tolerance", 1e-5)
     checks = []
     for idx, (name, dim, m, ecc) in enumerate(NULLVECTOR_CASES):
@@ -497,6 +498,7 @@ def verify_nullvector(cfg, seed, tolerance):
 @_handle_errors
 def verify_factorization(cfg, codim, points, seed, tolerance):
     """Double-root factorization of the critical polynomial, random w sweep."""
+    check_seed(seed)
     tolerance = _pick(tolerance, cfg, "tolerance", 1e-12)
     ks = [codim] if codim is not None else list(range(1, 9))
     rng = np.random.default_rng(seed)

@@ -1,8 +1,9 @@
-"""Exception types shared across the library, and the two scalar argument rules.
+"""Exception types shared across the library, and the scalar argument rules.
 
 Every integer argument (a dimension, a node or sample count) goes through
-check_int and every size or multiplier through check_real, so each rule is
-written once and raises DomainError the same way.
+check_int, every size or multiplier through check_real and every random seed
+through check_seed, so each rule is written once and raises DomainError the
+same way.
 """
 
 import math
@@ -93,12 +94,29 @@ def check_real(value, name: str, low: float | None = 0.0, inclusive: bool = Fals
     ``inclusive`` admits ``low`` itself, and ``low=None`` admits every finite
     value. Python and numpy reals pass (integers too); bool does not.
     """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (float, int, numbers.Real))  # as in check_int
-        or not math.isfinite(value)
-        or (low is not None and not (value >= low if inclusive else value > low))
+    real = math.nan
+    # float and int before the ABC, as in check_int
+    if not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real)):
+        try:
+            real = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not math.isfinite(real) or (
+        low is not None and not (real >= low if inclusive else real > low)
     ):
         span = "" if low is None else f" {'>=' if inclusive else '>'} {low:g}"
         raise DomainError(f"{name} must be a finite real{span}, got {value!r}")
-    return float(value)
+    return real
+
+
+def check_seed(value) -> tuple[int, ...]:
+    """A random seed as a tuple of ints, else DomainError.
+
+    A seed is a non-negative integer (as check_int takes it, so never bool)
+    or a non-empty list or tuple of them. numpy's default_rng gives the same
+    stream for s and (s,), so the tuple seeds it in either case.
+    """
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    if not items:
+        raise DomainError("seed must not be an empty sequence")
+    return tuple(check_int(item, "seed", 0) for item in items)

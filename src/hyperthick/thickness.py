@@ -25,7 +25,14 @@ For bodies given only by an indicator function the same thickness is
 estimated by Monte Carlo straight from the radial form: a uniform direction u
 and a radius r with density proportional to r^(m-1) on [0, R] make
 V_m R^m * 1[r u in body] an unbiased estimate of T, a Bernoulli mean whose
-variance is bounded.
+variance is bounded. The sampler draws each batch component-major, an (n, B)
+array whose rows are normalised in place. A body that is star-shaped about
+the origin (every StarShape.indicator) also carries its radial function, and
+the test is then r <= f(u) on the drawn direction, with no point formed and
+no norm taken again; such a run raises as soon as some f(u) exceeds R, since
+a body that leaves its bounding ball biases the estimate. Other bodies get
+the points r u and their own membership test. A ball's hits depend on r
+alone, so its estimate does not depend on the directions drawn.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .errors import (
     InsufficientSamplingError,
     check_int,
     check_real,
+    check_seed,
 )
 from .geometry import (
     DirectionGrid,
@@ -74,6 +82,11 @@ MC_CHUNK = 1 << 14
 # bounding_radius pads its scan maximum by this factor to cover excursions
 # between scan nodes; an overestimate only costs Monte Carlo acceptance
 BOUNDING_PAD = 1.05
+
+# Most nodes a tensor bounding scan visits: resolution^(n-1) at the default 64
+# is 1.07e9 at n = 6, over the node budget. Monte Carlo on a star-shaped body
+# raises if the coarser scan this forces underestimates the radius.
+SCAN_NODES = 1 << 20
 
 
 def _check_section_dim(m, n: int) -> int:
@@ -221,12 +234,17 @@ class StarShape:
 
         Zonal shapes scan their profile on the first polar axis of the same
         grid, which holds every u_1 value the full scan visits, so the bound
-        is the same at a cost independent of n.
+        is the same at a cost independent of n. Other shapes scan the tensor
+        grid, at the largest resolution up to ``scan_resolution`` whose
+        resolution^(n-1) nodes stay within SCAN_NODES.
         """
         if self.profile is not None:
             angles, _ = polar_rule(scan_resolution, self.dimension - 2)
             return float(self._profile_radii(np.cos(angles)).max()) * BOUNDING_PAD
-        grid = build_grid(self.dimension, scan_resolution)
+        resolution = check_int(scan_resolution, "scan resolution", 1)
+        while resolution > 1 and resolution ** (self.dimension - 1) > SCAN_NODES:
+            resolution -= 1
+        grid = build_grid(self.dimension, resolution)
         top = 0.0
         for u, _ in grid.iter_blocks():
             top = max(top, float(self.radial(u).max()))
@@ -246,6 +264,7 @@ class StarShape:
             dimension=self.dimension,
             contains=contains,
             bounding_radius=self.bounding_radius(scan_resolution),
+            radial=self.radial,
         )
 
 
@@ -254,12 +273,16 @@ class IndicatorBody:
     """Body known only through membership tests inside a bounding ball.
 
     ``contains`` maps a (B, n) point array to a (B,) boolean array and must be
-    false everywhere outside the bounding ball.
+    false everywhere outside the bounding ball. ``radial`` is set only for a
+    body that is star-shaped about the origin: it maps a (B, n) array of unit
+    vectors to the (B,) boundary radii, and thickness_montecarlo then tests
+    radii against it instead of calling ``contains``.
     """
 
     dimension: int
     contains: Callable
     bounding_radius: float
+    radial: Callable | None = None
 
     def __post_init__(self):
         check_real(self.bounding_radius, "bounding radius")
@@ -348,23 +371,42 @@ def thickness_montecarlo(
     points r u inside the body, a Bernoulli mean, so its variance is bounded
     and the binomial stderr is a valid error bar for every 1 <= m < n. For
     any body its expectation is m V_m / S_{n-1} times the integral of
-    |x|^(m-n) over the body. Deterministic for a fixed seed.
+    |x|^(m-n) over the body. Deterministic for a fixed seed: a non-negative
+    integer or a non-empty list or tuple of them.
+
+    With ``body.radial`` set, a point is inside when r <= radial(u); a radius
+    above R there raises DomainError, because the body then leaves its
+    bounding ball and the estimate would be biased low.
     """
     n = body.dimension
     m = _check_section_dim(m, n)
     samples = check_int(samples, "samples", 1)
+    rng = np.random.default_rng(check_seed(seed))
     radius = float(body.bounding_radius)
-    rng = np.random.default_rng(seed)
     coef = unit_ball_volume(m) * radius**m
 
     hits = 0
     done = 0
     while done < samples:
         c = min(MC_CHUNK, samples - done)
-        pts = rng.standard_normal((c, n))
+        # component-major (n, c): the norm and the radial test loop over rows
+        # of length c, not over the n = 2-6 components of each point
+        u = rng.standard_normal((n, c))
         r = radius * (1.0 - rng.random(c)) ** (1.0 / m)
-        pts *= (r / np.sqrt(np.einsum("ij,ij->i", pts, pts)))[:, None]
-        hits += int(np.count_nonzero(body.contains(pts)))
+        u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+        if body.radial is None:
+            u *= r
+            inside = body.contains(u.T)
+        else:
+            f = body.radial(u.T)
+            top = float(f.max())
+            if top > radius:
+                raise DomainError(
+                    f"the body reaches radius {top!r}, beyond its bounding radius "
+                    f"{radius!r}: the bounding radius is underestimated"
+                )
+            inside = r <= f
+        hits += int(np.count_nonzero(inside))
         done += c
     if hits == 0:
         raise InsufficientSamplingError(

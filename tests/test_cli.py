@@ -108,6 +108,20 @@ def test_thickness_montecarlo_ball_six_dimensions(runner):
     assert abs(doc["T"] - math.pi) < 5.0 * doc["stderr"]
 
 
+def test_negative_seed_is_a_clean_error(runner):
+    for args in (["thickness", "--shape", "ball:1", "--n", "3", "--m", "2", "--mc",
+                  "--samples", "1000", "--seed", "-1"],
+                 ["verify", "sphere-optimality", "--n", "3", "--m", "1", "--trials", "1",
+                  "--seed", "-1"],
+                 ["verify", "nullvector", "--seed", "-1"],
+                 ["verify", "factorization", "--nm", "1", "--seed", "-1"]):
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        doc = payload(result)
+        assert doc["error"] == "DomainError"
+        assert "seed" in doc["detail"]
+
+
 def test_thickness_reports_quadrature_rule(runner, tmp_path):
     grid = build_grid(3, 8)
     path = tmp_path / "shape.json"

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperthick import (
+    IndicatorBody,
     StarShape,
     average_thickness,
     axis_section_average,
@@ -20,7 +23,9 @@ from hyperthick import (
     unit_vectors,
     volume,
 )
+from hyperthick.cli import parse_shape
 from hyperthick.errors import DomainError, InsufficientSamplingError
+from hyperthick.geometry import polar_rule
 
 
 def rotation(n: int, seed: int) -> np.ndarray:
@@ -176,6 +181,77 @@ def test_twenty_random_shapes_montecarlo_vs_quadrature():
             shape.indicator(), m, 150_000, seed=trial
         )
         assert abs(t_mc - t_quad) < 4.0 * stderr
+
+
+def _file_shape(tmp_path):
+    grid = build_grid(3, 12)
+    u = unit_vectors(grid.angles())
+    path = tmp_path / "shape.json"
+    values = 1.0 + 0.2 * u[:, 0] - 0.1 * u[:, 1] * u[:, 2]
+    path.write_text(json.dumps({"n": 3, "resolution": 12, "values": values.tolist()}))
+    return parse_shape(f"file:{path}", None)
+
+
+@pytest.mark.parametrize(
+    "make,m",
+    [
+        (lambda tmp: StarShape.ball(5, 1.3), 2),
+        (lambda tmp: StarShape.cosine_series(3, [1.0, 0.25, -0.1]), 1),
+        (lambda tmp: StarShape.cosine_series(2, [1.0, 0.2], [0.1, -0.05]), 1),
+        (lambda tmp: StarShape.cosine_series(4, [1.0, 0.3, 0.1]).rotated(rotation(4, 2)), 3),
+        (_file_shape, 2),
+    ],
+    ids=["ball", "zonal-series", "planar-sines", "rotated-n4", "file"],
+)
+def test_montecarlo_radial_test_equals_contains_test(make, m, tmp_path):
+    # the same directions and radii, tested as r <= f(u) or as r u in body
+    body = make(tmp_path).indicator(16)
+    assert body.radial is not None
+    by_points = dataclasses.replace(body, radial=None)
+    for seed in (0, 9):
+        assert thickness_montecarlo(body, m, 40_000, seed) == thickness_montecarlo(
+            by_points, m, 40_000, seed
+        )
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (5, 2)])
+def test_montecarlo_shell_goes_through_contains(n, m):
+    # a <= |x| <= b is not star-shaped about the origin; each m-section
+    # through the origin is an m-dimensional shell
+    a, b = 0.6, 1.1
+    tested = []
+
+    def shell(points):
+        tested.append(points.shape[0])
+        rr = np.einsum("ij,ij->i", points, points)
+        return (a * a <= rr) & (rr <= b * b)
+
+    body = IndicatorBody(n, shell, b)
+    estimate, stderr = thickness_montecarlo(body, m, 100_000, seed=[n, m])
+    assert sum(tested) == 100_000
+    assert abs(estimate - unit_ball_volume(m) * (b**m - a**m)) < 4.0 * stderr
+
+
+def test_montecarlo_raises_on_underestimated_bounding_radius():
+    # a spike in g(u_1) narrower than the gap between two scan nodes
+    nodes = np.sort(np.cos(polar_rule(64, 1)[0]))
+    t0 = 0.5 * (nodes[31] + nodes[32])
+    shape = StarShape.zonal(3, lambda t: 1.0 + 0.5 * np.exp(-(((t - t0) / 0.004) ** 2)))
+    body = shape.indicator()
+    assert body.bounding_radius < 1.1
+    with pytest.raises(DomainError, match="bounding radius"):
+        thickness_montecarlo(body, 2, 100_000, seed=1)
+
+
+def test_montecarlo_rotated_six_dimensional_shape():
+    # the tensor scan at the default resolution would visit 64^5 nodes
+    n, m = 6, 3
+    shape = StarShape.cosine_series(n, [1.0, 0.2]).rotated(rotation(n, 4))
+    body = shape.indicator()
+    assert body.bounding_radius >= 1.2
+    t_quad = average_thickness(shape, m, build_grid(n, 8))
+    t_mc, stderr = thickness_montecarlo(body, m, 200_000, seed=6)
+    assert abs(t_mc - t_quad) < 4.0 * stderr
 
 
 def test_translated_disc_star_representation():

@@ -1,10 +1,11 @@
-"""Every scalar argument follows one of two rules (errors.check_int, check_real).
+"""Every scalar argument follows one rule (errors.check_int, check_real, check_seed).
 
 Integer arguments take Python or numpy integers and reject bool, floats,
 nan, inf and values out of range. Real arguments take any finite real
-(numpy integers and floats included) and reject bool, nan, inf and values
-out of range. Each row names one argument and calls the public function
-with only that argument varied.
+(numpy integers and floats included) and reject bool, nan, inf, ints beyond
+the float range and values out of range. A seed is a non-negative integer
+or a non-empty list or tuple of them. Each row names one argument and calls
+the public function with only that argument varied.
 """
 
 import math
@@ -70,6 +71,9 @@ INTEGER_ARGS = {
     "StarShape dimension": (lambda v: StarShape.ball(v).bounding_radius(4), 3, 1),
     "thickness_montecarlo samples": (
         lambda v: thickness_montecarlo(IndicatorBody(2, _disc, 1.5), 1, v, 0), 10, 0),
+    "thickness_montecarlo seed": (
+        lambda v: thickness_montecarlo(IndicatorBody(2, _disc, 1.5), 1, 10, v), 3, -1),
+    "sphere_optimality_test seed": (lambda v: sphere_optimality_test(2, 1, 1, 0.01, v, 8), 3, -1),
     "DeformationSample n": (
         lambda v: DeformationSample(v, 1, np.ones(5), np.ones((5, 2))).matrix(), 3, 1),
 }
@@ -100,8 +104,16 @@ REAL_ARGS = {
         -1, None),
 }
 
+# reals whose upper bound lies below 1.5, the fraction the REAL_ARGS rows take
+BOUNDED_REAL_ARGS = {
+    "sphere_optimality_test amplitude": (
+        lambda v: sphere_optimality_test(2, 1, 1, v, 0, 8), 0, 0.2),
+}
 
-NOT_A_NUMBER = [("True", True), ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+
+NOT_A_NUMBER = [
+    ("True", True), ("False", False), ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+]
 
 
 def _cases(table, integer):
@@ -109,20 +121,24 @@ def _cases(table, integer):
         rejected = NOT_A_NUMBER + [("out-of-range", out_of_range)]
         if integer:  # a float never passes, not even a whole one
             rejected += [("1.5", 1.5), ("float", float(good))]
+        else:  # an int too large to convert to float is not finite
+            rejected += [("10**400", 10**400)]
         for label, value in rejected:
             if value is not None:
                 yield pytest.param(call, value, id=f"{name}-{label}")
 
 
-@pytest.mark.parametrize("call, value", [*_cases(INTEGER_ARGS, True), *_cases(REAL_ARGS, False)])
+@pytest.mark.parametrize("call, value", [
+    *_cases(INTEGER_ARGS, True), *_cases(REAL_ARGS, False), *_cases(BOUNDED_REAL_ARGS, False),
+])
 def test_argument_is_rejected(call, value):
     with pytest.raises(DomainError):
         call(value)
 
 
-@pytest.mark.parametrize("name", [*INTEGER_ARGS, *REAL_ARGS])
+@pytest.mark.parametrize("name", [*INTEGER_ARGS, *REAL_ARGS, *BOUNDED_REAL_ARGS])
 def test_numpy_integer_gives_the_python_value(name):
-    call, good, _ = INTEGER_ARGS.get(name) or REAL_ARGS[name]
+    call, good, _ = {**INTEGER_ARGS, **REAL_ARGS, **BOUNDED_REAL_ARGS}[name]
     np.testing.assert_equal(call(np.int64(good)), call(good))
 
 
@@ -131,3 +147,13 @@ def test_real_argument_takes_a_fraction(name):
     call, _, _ = REAL_ARGS[name]
     call(1.5)
     call(np.float64(1.5))
+
+
+@pytest.mark.parametrize("name", ["thickness_montecarlo seed", "sphere_optimality_test seed"])
+def test_seed_is_an_integer_or_a_sequence_of_them(name):
+    call = INTEGER_ARGS[name][0]
+    np.testing.assert_equal(call([3, np.int64(4)]), call((3, 4)))
+    np.testing.assert_equal(call([3]), call(3))
+    for bad in ([], (), [3, True], [3, -1], [3, 1.5], [[3]], "3"):
+        with pytest.raises(DomainError):
+            call(bad)
