@@ -34,12 +34,9 @@ from .errors import (
 )
 from .geometry import (
     DirectionGrid,
-    axis_polar_angle,
     build_grid,
     cartesian_to_spherical,
     frame_from_pole,
-    solid_angle_density,
-    spherical_to_cartesian,
     unit_vectors,
 )
 from .nsphere import unit_ball_volume, unit_sphere_area
@@ -100,7 +97,6 @@ __all__ = [
     "StationaryParams",
     "UnboundedRegionError",
     "average_thickness",
-    "axis_polar_angle",
     "axis_section_average",
     "body_properties",
     "build_grid",
@@ -121,9 +117,7 @@ __all__ = [
     "nullvector_recover",
     "profile_curve",
     "radial_profile",
-    "solid_angle_density",
     "sphere_optimality_test",
-    "spherical_to_cartesian",
     "stationarity_residual",
     "stationary_shape",
     "support_interval",

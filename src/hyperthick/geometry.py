@@ -45,14 +45,11 @@ from .nsphere import unit_sphere_area
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "DirectionGrid",
-    "axis_polar_angle",
     "build_grid",
     "cartesian_to_spherical",
     "frame_from_pole",
     "legendre_angles",
     "polar_rule",
-    "solid_angle_density",
-    "spherical_to_cartesian",
     "unit_vectors",
 ]
 
@@ -92,17 +89,8 @@ def unit_vectors(angles) -> np.ndarray:
     return out[0] if single else out
 
 
-def spherical_to_cartesian(r, angles) -> np.ndarray:
-    """Map radius and direction angles to Cartesian coordinates."""
-    u = unit_vectors(angles)
-    r = np.asarray(r, dtype=float)
-    if u.ndim == 1:
-        return float(r) * u
-    return r[:, None] * u if r.ndim == 1 else r * u
-
-
 def cartesian_to_spherical(points) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`spherical_to_cartesian`.
+    """Inverse of r * unit_vectors(angles).
 
     Returns (r, angles). Polar angles come out in [0, pi] and the azimuth in
     [0, 2 pi). The origin has no direction and raises.
@@ -130,17 +118,6 @@ def cartesian_to_spherical(points) -> tuple[np.ndarray, np.ndarray]:
     return r, ang
 
 
-def solid_angle_density(angles) -> np.ndarray | float:
-    """Solid-angle density sin^{n-2}(phi_1) ... sin(phi_{n-2}) at the given angles."""
-    arr, single = _as_angle_batch(angles)
-    b, m = arr.shape
-    n = m + 1
-    dens = np.ones(b)
-    for i in range(n - 2):
-        dens *= np.sin(arr[:, i]) ** (n - 2 - i)
-    return float(dens[0]) if single else dens
-
-
 def _check_axis(axis, n: int) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     if a.shape != (n,):
@@ -149,16 +126,6 @@ def _check_axis(axis, n: int) -> np.ndarray:
     if abs(norm - 1.0) > 1e-10:
         raise DomainError(f"axis must be unit length, |axis| = {norm!r}")
     return a
-
-
-def axis_polar_angle(angles, axis) -> np.ndarray | float:
-    """Angle between each direction and a fixed unit axis, in [0, pi]."""
-    arr, single = _as_angle_batch(angles)
-    axis = _check_axis(axis, arr.shape[1] + 1)
-    u = unit_vectors(arr)
-    c = np.clip(u @ axis, -1.0, 1.0)
-    theta = np.arccos(c)
-    return float(theta[0]) if single else theta
 
 
 def frame_from_pole(axis) -> np.ndarray:

@@ -17,8 +17,10 @@ positive side of the axis. In hyper-cylindrical coordinates the meridian is
 
 Both polynomial roots solved here, the boundary radius for k >= 3 and the
 negative axis crossing of the critical shape, are roots of
-1 - a x^k - b x^(k+1) and share one bracketed Newton that runs array-wise
-over all directions at once.
+1 - a x^k - b x^(k+1). In s = 1/x this is s^(k+1) - a s = b, a convex
+equation whose wanted root is the largest one, so both share one Newton
+that falls onto it monotonically, with no bracket, array-wise over all
+directions at once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DomainError,
     NoRootError,
     OutsideSupportError,
     PoleError,
@@ -167,88 +168,60 @@ def _residual(k: int, lam: float, mu: float, r, cos_t):
     return 1.0 - lam * r**k - mu * r ** (k + 1) * cos_t
 
 
-def _newton(k: int, a: float, b, x, lo, hi, step_tol: float, max_iter: int) -> np.ndarray:
-    """Roots of 1 - a x^k - b x^(k+1), one per entry of the 1-D array b.
+def _largest_root(k: int, lam: float, c: np.ndarray) -> np.ndarray:
+    """Largest root s of h(s) = s^(k+1) - lam s = c, one per entry of c.
 
-    Bracketed Newton, run array-wise: the start x and the bracket [lo, hi]
-    broadcast against b, and each polynomial must fall from positive to
-    negative across its bracket. A Newton step that leaves the shrinking
-    bracket is replaced by bisection. An entry is done once its residual is
-    at most NEWTON_TOL or its step at most step_tol * max(1, |x|); only the
-    entries still running are evaluated.
+    In s = 1/r the stationary equation reads h(s) = c with c = mu cos(theta),
+    and the boundary radius, the smallest positive r, is the largest s. h is
+    convex for s > 0 with its minimum at s0 = (lam/(k+1))^(1/k), so that root
+    lies on the increasing branch, and Newton started at or right of it falls
+    onto it monotonically with no bracket (Fourier's condition; Ostrowski,
+    Solution of Equations and Systems of Equations, 1966). The start is
+    the first Newton step from the sphere a = lam^(1/k), where h = 0 and
+    h' = k lam, capped at a + c^(1/(k+1)), where h >= c as well, so that a
+    large c > 0 does not overshoot. Each entry runs until it stops falling;
+    only the entries still running are evaluated. An iterate below s0 means
+    c < h(s0): within NEWTON_TOL of h(s0), relative, that is the tangency,
+    whose root is s0 itself; beyond it there is no root.
     """
-    b, x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(b, x, lo, hi))
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    for _ in range(max_iter):
-        fx = 1.0 - a * x**k - b * x ** (k + 1)
-        done = np.abs(fx) <= NEWTON_TOL
-        out[live[done]] = x[done]
-        keep = ~done
-        live, b, x, lo, hi, fx = live[keep], b[keep], x[keep], lo[keep], hi[keep], fx[keep]
-        if live.size == 0:
-            return out
-        above = fx > 0.0
-        lo = np.where(above, x, lo)
-        hi = np.where(above, hi, x)
-        d = -a * k * x ** (k - 1) - b * (k + 1.0) * x**k
-        mid = 0.5 * (lo + hi)
+    s_min = (lam / (k + 1.0)) ** (1.0 / k)
+    h_min = -k * lam / (k + 1.0) * s_min
+    s = lam ** (1.0 / k) + np.minimum(c / (k * lam), np.maximum(c, 0.0) ** (1.0 / (k + 1)))
+    out = np.empty_like(s)
+    live = np.arange(s.size)
+    for _ in range(100):
+        low = s < s_min
+        if np.any(low):
+            if np.any(c[low] < (1.0 + NEWTON_TOL) * h_min):  # h_min < 0
+                raise NoRootError(
+                    "no positive boundary radius in this direction (open region)"
+                )
+            out[live[low]] = s_min
+        sk = s**k
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = np.where(d != 0.0, x - fx / d, mid)
-        x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
-        done = np.abs(x_new - x) <= step_tol * np.maximum(1.0, np.abs(x))
-        out[live[done]] = x_new[done]
-        keep = ~done
-        live, b, x, lo, hi = live[keep], b[keep], x_new[keep], lo[keep], hi[keep]
+            s_next = s - ((sk - lam) * s - c) / ((k + 1.0) * sk - lam)
+        done = ~(s_next < s) & ~low
+        out[live[done]] = s[done]
+        keep = ~(done | low)
+        live, c, s = live[keep], c[keep], s_next[keep]
         if live.size == 0:
             return out
     raise ConvergenceError(
         f"Newton iteration stalled for k={k} at {live.size} point(s), "
-        f"first at x={x[0]!r} with coefficient {b[0]!r}"
+        f"first at s={s[0]!r} with c={c[0]!r}"
     )
 
 
 def _radial_newton(params: StationaryParams, cos_t: np.ndarray) -> np.ndarray:
     """Smallest positive root of the stationary equation per direction."""
-    k, lam, mu = params.k, params.lam, params.mu
-    c = mu * cos_t  # the r^(k+1) coefficient enters as -c
-    sphere = lam ** (-1.0 / k)
-    r = np.full(c.shape, sphere)
-    # c > 0: strictly decreasing, unique root at or below the sphere radius
-    hi = np.full(c.shape, sphere)
-    x0 = np.full(c.shape, sphere)
-    solve = c != 0.0
-    # c < 0: the radius polynomial dips to a minimum at r_star and rises
-    # after it; the boundary is the root before the dip. That first root
-    # never exceeds the critical-support radius, which caps the bracket when
-    # mu is so small that r_star itself would overflow.
-    z_plus = ((k + 1.0) / lam) ** (1.0 / k)
-    neg = c < 0.0
-    if params.ecc >= 1.0:
-        # e cos(theta) = 1 is the double root r_star = k lam/((k+1)|c|)
-        # itself; Newton would stop about sqrt(NEWTON_TOL) short of it, so
-        # it is returned directly, whichever way rounding tips the tests below
-        touch = params.ecc * cos_t == 1.0
-        r[touch] = k * lam / ((k + 1.0) * -c[touch])
-        solve &= ~touch
-        neg &= ~touch
-    capped = neg & (k * lam > (k + 1.0) * -c * z_plus)
-    hi[capped] = z_plus
-    dip = np.flatnonzero(neg & ~capped)
-    if dip.size:
-        r_star = k * lam / ((k + 1.0) * -c[dip])
-        p_star = _residual(k, lam, mu, r_star, cos_t[dip])
-        if np.any(p_star > NEWTON_TOL):
-            raise NoRootError(
-                "no positive boundary radius in this direction (open region)"
-            )
-        tangent = p_star >= 0.0  # the critical double root
-        r[dip[tangent]] = r_star[tangent]
-        solve[dip[tangent]] = False
-        inner = dip[~tangent]
-        hi[inner] = r_star[~tangent]
-        x0[inner] = np.minimum(sphere, 0.5 * r_star[~tangent])
-    r[solve] = _newton(k, lam, c[solve], x0[solve], 0.0, hi[solve], 1e-16, 120)
+    k, lam = params.k, params.lam
+    c = params.mu * cos_t
+    # e cos(theta) = 1 is the double root k lam/((k+1)|c|) itself, returned
+    # exactly rather than to the sqrt(eps) a double root allows
+    touch = params.ecc * cos_t == 1.0
+    r = np.empty_like(c)
+    r[touch] = k * lam / ((k + 1.0) * -c[touch])
+    r[~touch] = 1.0 / _largest_root(k, lam, c[~touch])
     return r
 
 
@@ -256,8 +229,8 @@ def radial_profile(params: StationaryParams, theta):
     """Boundary radius r(theta), theta measured from the symmetry axis.
 
     Closed forms for k = 1 (quadratic) and k = 2 (the real Cardano branch
-    that bounds the closed region); one array-wise safeguarded Newton for
-    k >= 3. Every
+    that bounds the closed region); for k >= 3 one array-wise Newton on
+    s = 1/r, which falls monotonically onto the root with no bracket. Every
     returned radius is validated against the stationary equation. Open-class
     directions without a positive root raise.
     """
@@ -332,27 +305,21 @@ _CRITICAL_NEG_ROOT = {
 }
 
 
-def critical_support(k: int, lam: float, method: str = "auto") -> tuple[float, float]:
+def critical_support(k: int, lam: float) -> tuple[float, float]:
     """Axis crossings (z_minus, z_plus) of the critical (e = 1) meridian.
 
     z_plus = ((k+1)/lambda)^(1/k) exactly (the double root w = 1 of the
-    scaled polynomial). The negative crossing uses the radical closed form
-    where one exists (k in {1, 2, 4}) and bracketed Newton otherwise;
-    method='closed' or 'newton' forces one route.
+    scaled polynomial). The negative crossing z_minus = -u z_plus solves
+    1 - (k+1)u^k - k u^(k+1) = 0: a radical closed form where one exists
+    (k in {1, 2, 4}), otherwise the radial solver on s = 1/u, where the
+    crossing is h(s) = s^(k+1) - (k+1)s = k.
     """
     k = check_int(k, "dimension gap n - m", 1)
     lam = check_real(lam, "lambda")
-    if method not in ("auto", "closed", "newton"):
-        raise DomainError(f"unknown method {method!r}")
     z_plus = ((k + 1.0) / lam) ** (1.0 / k)
-    if method == "closed" or (method == "auto" and k in _CRITICAL_NEG_ROOT):
-        try:
-            u0 = _CRITICAL_NEG_ROOT[k]
-        except KeyError:
-            raise DomainError(f"no radical closed form for the k={k} crossing") from None
-    else:
-        # 1 - (k+1)u^k - k u^(k+1) falls strictly on (0, 1)
-        u0 = float(_newton(k, k + 1.0, np.array([float(k)]), 0.5, 0.0, 1.0, 1e-17, 200)[0])
+    u0 = _CRITICAL_NEG_ROOT.get(k)
+    if u0 is None:
+        u0 = 1.0 / float(_largest_root(k, k + 1.0, np.array([float(k)]))[0])
     return -u0 * z_plus, z_plus
 
 

@@ -378,6 +378,15 @@ def test_verify_sphere_optimality_small_run(runner):
         assert check["value"] < 0.0
 
 
+def test_verify_sphere_optimality_six_dimensions_at_default_resolution(runner):
+    # the default grid at n = 6 stays within the materialization budget
+    result = invoke(runner, ["verify", "sphere-optimality", "--n", "6", "--trials", "2"])
+    assert result.exit_code == 0
+    doc = payload(result)
+    assert doc["pass"] is True
+    assert len(doc["checks"]) == 2
+
+
 def test_verify_nullvector_passes(runner):
     doc = payload(invoke(runner, ["verify", "nullvector"]))
     assert doc["pass"] is True

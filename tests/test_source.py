@@ -1,7 +1,10 @@
 """Source-level rules for the library package."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import hyperthick
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperthick"
 
@@ -17,3 +20,17 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_export_resolves():
+    # a deletion that leaves its name in an __all__ list fails here
+    missing = [f"hyperthick.{name}" for name in hyperthick.__all__
+               if not hasattr(hyperthick, name)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"hyperthick.{path.stem}")
+        missing += [f"hyperthick.{path.stem}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []

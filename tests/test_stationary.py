@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from hyperthick.errors import (
     PoleError,
     UnboundedRegionError,
 )
-from hyperthick.stationary import _radial_from_cos, _radial_newton
+from hyperthick.stationary import _CRITICAL_NEG_ROOT, _largest_root, _radial_from_cos, _radial_newton
 
 
 def radial_oracle(k, lam, mu, cos_t):
@@ -247,10 +248,12 @@ def test_critical_support_closed_forms(lam):
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_critical_closed_matches_newton(k):
-    a = critical_support(k, 1.3, method="closed")
-    b = critical_support(k, 1.3, method="newton")
-    assert a[0] == pytest.approx(b[0], rel=1e-12)
-    assert a[1] == b[1]
+    # the radical table against the radial solver on s = 1/u, where the
+    # crossing is s^(k+1) - (k+1)s = k
+    u = 1.0 / _largest_root(k, k + 1.0, np.array([float(k)]))[0]
+    assert _CRITICAL_NEG_ROOT[k] == pytest.approx(u, rel=1e-12)
+    z_minus, z_plus = critical_support(k, 1.3)
+    assert -z_minus / z_plus == _CRITICAL_NEG_ROOT[k]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -260,11 +263,6 @@ def test_critical_negative_root_satisfies_polynomial(k):
     assert 0.0 < u < 1.0
     # defining polynomial of the negative-side crossing in scaled variables
     assert abs(1.0 - (k + 1) * u**k - k * u ** (k + 1)) < 1e-12
-
-
-def test_closed_form_requested_for_unknown_k():
-    with pytest.raises(DomainError):
-        critical_support(3, 1.0, method="closed")
 
 
 def test_critical_profile_has_double_root_at_cusp():
@@ -309,8 +307,8 @@ def test_factorization_vectorized():
 
 
 def _newton_branch(k, lam, mu, cos_t):
-    """Which case of the radial solver a direction falls in, from the
-    documented bracket conditions."""
+    """Which regime of the radial polynomial a direction falls in: the cases
+    a bracketed solver sets up apart, kept so the test reaches each."""
     c = mu * cos_t
     if c == 0.0:
         return "sphere"
@@ -367,6 +365,17 @@ def test_vectorized_newton_raises_for_open_directions(k):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_far_side_of_a_very_open_shape_solves(k):
+    # e = 1e12 makes c = mu cos(theta) ~ 1e12 on the far side, where a plain
+    # Newton step from the sphere would overshoot the root ~1e10-fold
+    p = StationaryParams(n=k + 1, m=1, lam=1.3, ecc=1e12)
+    cos_t = np.array([-1.0, -0.5, -1e-3])
+    got = _radial_newton(p, cos_t)
+    want = [radial_oracle(k, 1.3, p.mu, ct) for ct in cos_t]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
 def test_cusp_direction_is_the_exact_double_root(k):
     # e cos(theta) = 1 is the tangency radius k lam / ((k+1)|mu|) exactly,
@@ -379,9 +388,21 @@ def test_cusp_direction_is_the_exact_double_root(k):
         assert abs(got[0] / want - 1.0) <= 1e-15
 
 
+def _polished(k, lam, c, x):
+    """x after two Newton steps on 1 - lam x^k - c x^(k+1) at 40 digits."""
+    with mpmath.workdps(40):
+        lam, c, x = mpmath.mpf(lam), mpmath.mpf(c), mpmath.mpf(x)
+        for _ in range(2):
+            p = 1 - lam * x**k - c * x ** (k + 1)
+            x -= p / (-k * lam * x ** (k - 1) - (k + 1) * c * x**k)
+        return float(x)
+
+
 def per_point_radius(k, lam, mu, cos_t):
-    """The scalar bracketed Newton the array-wise solver replaced, kept as a
-    reference: one direction at a time, Python floats throughout."""
+    """An independent reference: a scalar bracketed Newton in r, one
+    direction at a time in Python floats, its root polished at 40 digits.
+    The float loop stops on |p| <= 1e-13, which next to the cusp leaves it
+    up to ~2e-13 short of the root."""
     c = mu * cos_t
     sphere = lam ** (-1.0 / k)
     if c == 0.0:
@@ -402,7 +423,7 @@ def per_point_radius(k, lam, mu, cos_t):
     for _ in range(120):
         fx = 1.0 - lam * x**k - mu * x ** (k + 1) * cos_t
         if abs(fx) <= 1e-13:
-            return x
+            return _polished(k, lam, c, x)
         if fx > 0.0:
             lo = x
         else:
@@ -412,16 +433,15 @@ def per_point_radius(k, lam, mu, cos_t):
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            return x_new
+            return _polished(k, lam, c, x_new)
         x = x_new
     raise ConvergenceError("stalled")
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
 def test_vectorized_newton_matches_per_point_loop(k):
-    # same iteration, array-wise: only rounding may differ, except in the
-    # cusp direction itself, where a 1e-13 residual pins the double root
-    # only to ~sqrt(tol)
+    # the cusp direction itself (theta = 0) is left out: there the root is
+    # double, and a 1e-13 residual pins it only to ~sqrt(tol)
     theta = np.linspace(0.0, math.pi, 301)[1:]
     for lam in (0.6, 1.3):
         for ecc in (0.0, 0.2, 0.7, 0.99, 1.0):
@@ -429,3 +449,24 @@ def test_vectorized_newton_matches_per_point_loop(k):
             got = radial_profile(p, theta)
             want = np.array([per_point_radius(k, lam, p.mu, math.cos(t)) for t in theta])
             assert np.abs(got / want - 1.0).max() <= 1e-13
+
+
+def _mp_radius(k, lam, c):
+    """Smallest positive root of 1 - lam r^k - c r^(k+1), from
+    mpmath.polyroots at 40 digits."""
+    with mpmath.workdps(40):
+        coeffs = [-mpmath.mpf(c), -mpmath.mpf(lam)] + [0] * (k - 1) + [1]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        return float(min(r.real for r in roots if abs(r.imag) < 1e-30 and r.real > 0))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_radius_next_to_the_cusp_matches_40_digit_roots(k):
+    # e = 1 just off the cusp direction, where the boundary root sits next
+    # to the double root; the reference solves the same float c = mu cos(theta)
+    for lam in (0.6, 1.3):
+        p = StationaryParams(n=k + 1, m=1, lam=lam, ecc=1.0)
+        for theta, bound in ((1e-6, 1e-9), (0.1, 1e-14)):
+            cos_t = math.cos(theta)
+            got = _radial_from_cos(p, np.array([cos_t]))[0]
+            assert abs(got / _mp_radius(k, lam, p.mu * cos_t) - 1.0) <= bound
