@@ -34,7 +34,7 @@ from .errors import (
 from .geometry import DirectionGrid, _check_axis, build_grid, unit_vectors
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .stationary import StationaryParams, _radial_from_cos
-from .thickness import SCAN_NODES, StarShape, _check_section_dim
+from .thickness import StarShape, _check_section_dim, capped_resolution
 
 __all__ = [
     "DeformationSample",
@@ -206,6 +206,16 @@ def _project_constraints(f, u, w, n, v_target, max_iter=300):
     )
 
 
+def _optimality_resolution(n: int) -> int:
+    """Default grid resolution of sphere_optimality_test in R^n.
+
+    64 for n = 2, 48 for n = 3, and otherwise the largest up to 32 whose
+    resolution^(n-1) nodes stay within SCAN_NODES (16 at n = 6, 10 at
+    n = 7), so the materialized grid stays within the bounding scan's cap.
+    """
+    return capped_resolution(n, {2: 64, 3: 48}.get(n, 32))
+
+
 def sphere_optimality_test(
     n: int,
     m: int,
@@ -221,11 +231,9 @@ def sphere_optimality_test(
     alternating projection, and reports deltaT = T_perturbed - T_ball. The
     ball maximizes T under these constraints, so deltaT <= 0 is the expected
     outcome for every trial. Trial randomness derives from (seed, trial), so
-    any subset reproduces. The default resolution is 64 for n = 2, 48 for
-    n = 3, and otherwise the largest up to 32 whose resolution^(n-1) nodes
-    stay within SCAN_NODES (16 at n = 6, 10 at n = 7). The comparison
-    baseline is the grid value of the ball's own thickness, cancelling what
-    little quadrature rounding there is.
+    any subset reproduces. The default resolution is _optimality_resolution(n).
+    The comparison baseline is the grid value of the ball's own thickness,
+    cancelling what little quadrature rounding there is.
     """
     n = check_int(n, "n", 2)
     m = _check_section_dim(m, n)
@@ -235,10 +243,7 @@ def sphere_optimality_test(
         raise DomainError(f"amplitude must lie in [0, 0.1], got {amplitude!r}")
     seed = check_seed(seed)
     if resolution is None:
-        # the materialized grid stays within the bounding scan's node cap
-        resolution = {2: 64, 3: 48}.get(n, 32)
-        while resolution > 1 and resolution ** (n - 1) > SCAN_NODES:
-            resolution -= 1
+        resolution = _optimality_resolution(n)
     grid = build_grid(n, resolution)
     u = unit_vectors(grid.angles())
     w = grid.weights()

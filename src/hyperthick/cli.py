@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -19,12 +20,12 @@ import sys
 
 import click
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import __version__
 from .analysis import (
     DeformationSample,
     DumbbellConfig,
+    _optimality_resolution,
     dumbbell_thickness,
     nullvector_recover,
     sphere_optimality_test,
@@ -150,6 +151,27 @@ def _parse_harmonic(body: str) -> StarShape:
     return StarShape.cosine_series(n, cos_coeffs, sin_coeffs)
 
 
+def _multilinear(coords, values, points) -> np.ndarray:
+    """Multilinear interpolation of a rectilinear table at (B, d) points.
+
+    Each point is located on each axis by searchsorted and its value blended
+    from the 2^d corners of its cell. Past the end nodes the end cells
+    extend linearly.
+    """
+    cells, fractions = [], []
+    for axis, x in zip(coords, points.T):
+        i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+        cells.append(i)
+        fractions.append((x - axis[i]) / (axis[i + 1] - axis[i]))
+    out = np.zeros(points.shape[0])
+    for corner in itertools.product((0, 1), repeat=len(coords)):
+        weight = np.ones(points.shape[0])
+        for upper, frac in zip(corner, fractions):
+            weight = weight * (frac if upper else 1.0 - frac)
+        out += weight * values[tuple(i + upper for i, upper in zip(cells, corner))]
+    return out
+
+
 def _shape_from_file(path: str) -> StarShape:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -163,7 +185,7 @@ def _shape_from_file(path: str) -> StarShape:
             raise DomainError(f"shape file {path} is missing key {key!r}")
     n, resolution = doc["n"], doc["resolution"]
     grid = build_grid(n, resolution)
-    coords = [nodes.copy() for nodes, _ in grid.axes]
+    coords = [nodes for nodes, _ in grid.axes]
     values = np.asarray(doc["values"], dtype=float)
     if values.shape != (grid.node_count,):
         raise DomainError(
@@ -176,14 +198,15 @@ def _shape_from_file(path: str) -> StarShape:
     # across the seam instead of extrapolating
     coords[-1] = np.append(coords[-1], 2.0 * math.pi)
     values = np.concatenate([values, values[..., :1]], axis=-1)
-    interp = RegularGridInterpolator(
-        tuple(coords), values, method="linear", bounds_error=False, fill_value=None
-    )
+    # an axis with a single node (resolution 1) holds no variation
+    keep = np.array([c.size > 1 for c in coords])
+    coords = [c for c, k in zip(coords, keep) if k]
+    values = values.reshape([c.size for c in coords])
 
     def radial_fn(u):
         # the table lives on the angle chart: convert directions on the way in
         _, angles = cartesian_to_spherical(u)
-        return np.atleast_1d(interp(angles))
+        return _multilinear(coords, values, angles[:, keep])
 
     return StarShape(n, radial_fn, name=f"file:{os.path.basename(path)}")
 
@@ -388,6 +411,8 @@ def verify():
 def verify_sphere(cfg, dim, m, trials, amplitude, seed, resolution, tolerance):
     """Random constrained perturbations of the ball must not increase T."""
     tolerance = _pick(tolerance, cfg, "tolerance", 1e-12)
+    if resolution is None:
+        resolution = _optimality_resolution(dim)
     results = sphere_optimality_test(dim, m, trials, amplitude, seed, resolution)
     checks = [
         {
@@ -405,7 +430,8 @@ def verify_sphere(cfg, dim, m, trials, amplitude, seed, resolution, tolerance):
         "amplitude": amplitude,
         "resolution": resolution,
     }
-    _finish_verify(checks, echo, seed=seed)
+    grid = {"n": dim, "resolution": resolution, "node_count": resolution ** (dim - 1)}
+    _finish_verify(checks, echo, seed=seed, grid=grid)
 
 
 IDENTITY_CASES = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (6, 2)]

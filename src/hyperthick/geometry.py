@@ -15,9 +15,10 @@ density sin^{n-2}(phi_1) sin^{n-3}(phi_2) ... sin(phi_{n-2}).
 Quadrature grids are tensor products: Gauss-Jacobi nodes in cos(phi_i) for
 each polar angle (the sin-power density is the Jacobi weight function, so
 weight sums are exact; see polar_rule) and a uniform trapezoid rule in the
-azimuth. Grids are stored in factored per-axis form; dense enumeration
-happens in blocks of unit direction vectors, so large grids never
-materialize all at once, and the node budget applies there. Integrands
+azimuth. Each polar table is built once per (node count, power) and cached
+as read-only arrays. Grids are stored in factored per-axis form; dense
+enumeration happens in blocks of unit direction vectors, so large grids
+never materialize all at once, and the node budget applies there. Integrands
 that depend on u_1 alone (zonal ones) need only the first polar axis:
 DirectionGrid.zonal_rule folds the other axes into their weight sums, so
 the rule has resolution nodes whatever n is. Angles are the chart that
@@ -37,7 +38,6 @@ from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import BudgetError, ConvergenceError, DomainError, check_int
 from .nsphere import unit_sphere_area
@@ -55,6 +55,9 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 1 << 28
 DEFAULT_BLOCK = 1 << 22
+# Most entries one materialized array may hold: the nodes of angles(), and
+# the dense Jacobi matrix of a polar table (4096 nodes)
+MATERIALIZE_LIMIT = 1 << 24
 
 TWO_PI = 2.0 * math.pi
 
@@ -266,7 +269,7 @@ class DirectionGrid:
                 f"{self.node_count} nodes exceed the materialization limit {limit}"
             )
 
-    def angles(self, limit: int = 1 << 24) -> np.ndarray:
+    def angles(self, limit: int = MATERIALIZE_LIMIT) -> np.ndarray:
         """Materialize every node's angles as one (N, n-1) array, in block order."""
         self._check_limit(limit)
         mesh = np.meshgrid(*[nodes for nodes, _ in self.axes], indexing="ij")
@@ -279,19 +282,68 @@ class DirectionGrid:
         return reduce(np.multiply.outer, [w for _, w in self.axes], 1.0).reshape(-1)
 
 
+def _gauss_jacobi(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (t, weights) for the weight (1 - t^2)^((power - 1)/2) on [-1, 1].
+
+    t = cos(phi) carries the density sin^power(phi) dphi to this weight.
+    Golub-Welsch: the nodes (ascending) are the eigenvalues of the symmetric
+    Jacobi matrix of the orthonormal polynomials q_k, polished by one Newton
+    step on the three-term recurrence. The weights come from the derivative
+    formula w = 1 / (b_N q_N'(t) q_{N-1}(t)) and are not normalized, so
+    their sum still checks the rule.
+    """
+    a = (power - 1) / 2.0
+    k = np.arange(1.0, count + 1.0)
+    # b[k-1] is b_k in b_{k+1} q_{k+1} = t q_k - b_k q_{k-1}
+    b = np.sqrt(k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a) ** 2 - 1.0))
+    t = np.linalg.eigvalsh(np.diag(b[:-1], -1))
+    # q_0 = 1 / sqrt(int_0^pi sin^power), and that integral is S_{power+1} / S_power
+    q0 = math.sqrt(unit_sphere_area(power) / unit_sphere_area(power + 1))
+
+    def recurrence(t):
+        """q_N(t), q_N'(t) and q_{N-1}(t)."""
+        q_prev, q = np.zeros_like(t), np.full_like(t, q0)
+        d_prev, d = np.zeros_like(t), np.zeros_like(t)
+        b_prev = 0.0
+        for b_next in b:
+            q_prev, q = q, (t * q - b_prev * q_prev) / b_next
+            d_prev, d = d, (q_prev + t * d - b_prev * d_prev) / b_next
+            b_prev = b_next
+        return q, d, q_prev
+
+    q, d, _ = recurrence(t)
+    t = t - q / d
+    _, d, q_prev = recurrence(t)
+    return t, 1.0 / (b[-1] * d * q_prev)
+
+
+@lru_cache(maxsize=64, typed=True)
 def polar_rule(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule for a polar angle with density sin^power.
 
-    Returns (angles, weights) with the angles ascending in (0, pi): the
-    Jacobi nodes in the cosine variable, exponent (power - 1)/2, mapped back
+    Returns read-only (angles, weights), the angles ascending in (0, pi):
+    the Gauss nodes of _gauss_jacobi in the cosine variable, mapped back
     through arccos. The rule integrates the density exactly and smooth
-    integrands spectrally.
+    integrands spectrally. It is built on first use for each (count, power)
+    and cached, like legendre_angles; callers must not (and cannot) modify
+    it. Raises BudgetError above 4096 nodes (MATERIALIZE_LIMIT matrix
+    entries).
     """
     count = check_int(count, "node count", 1)
-    alpha = (power - 1) / 2.0
-    t, w = roots_jacobi(count, alpha, alpha)
+    power = check_int(power, "density power", 1)
+    # the Jacobi matrix is dense: about count^3 flops and count^2 floats
+    # (4096 nodes take seconds and 128 MB, once per process)
+    if count * count > MATERIALIZE_LIMIT:
+        raise BudgetError(
+            f"a polar table of {count} nodes needs a {count}^2 Jacobi matrix, "
+            f"over the limit of {MATERIALIZE_LIMIT} entries"
+        )
+    t, w = _gauss_jacobi(count, power)
     # ascending polar angle; arccos reverses the node order
-    return np.arccos(t)[::-1].copy(), w[::-1].copy()
+    angles, weights = np.arccos(t)[::-1].copy(), w[::-1].copy()
+    angles.flags.writeable = False
+    weights.flags.writeable = False
+    return angles, weights
 
 
 @lru_cache(maxsize=16)
@@ -326,9 +378,9 @@ def build_grid(
     resolution = check_int(resolution, "resolution", 1)
     node_budget = check_int(node_budget, "node_budget", 1)
     # only the per-axis tables are built here; the tensor product is checked
-    # against node_budget where iter_blocks enumerates it. Each polar table is
-    # a Jacobi eigenproblem costing about its size squared, so capping the
-    # polar nodes at sqrt(node_budget) keeps that work within the budget.
+    # against node_budget where iter_blocks enumerates it. polar_rule caps
+    # each polar table at MATERIALIZE_LIMIT Jacobi-matrix entries, and all
+    # polar nodes together are capped at sqrt(node_budget).
     polar = (n - 2) * resolution
     if polar > math.isqrt(node_budget) or resolution > node_budget:
         raise BudgetError(

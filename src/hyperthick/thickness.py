@@ -89,6 +89,14 @@ BOUNDING_PAD = 1.05
 SCAN_NODES = 1 << 20
 
 
+def capped_resolution(n: int, resolution: int) -> int:
+    """The largest resolution <= ``resolution`` whose resolution^(n-1) tensor
+    nodes stay within SCAN_NODES."""
+    while resolution > 1 and resolution ** (n - 1) > SCAN_NODES:
+        resolution -= 1
+    return resolution
+
+
 def _check_section_dim(m, n: int) -> int:
     """Validate 1 <= m < n and return m as a Python int (numpy integers pass)."""
     return check_int(m, "section dimension m", 1, n - 1)
@@ -242,9 +250,7 @@ class StarShape:
             angles, _ = polar_rule(scan_resolution, self.dimension - 2)
             return float(self._profile_radii(np.cos(angles)).max()) * BOUNDING_PAD
         resolution = check_int(scan_resolution, "scan resolution", 1)
-        while resolution > 1 and resolution ** (self.dimension - 1) > SCAN_NODES:
-            resolution -= 1
-        grid = build_grid(self.dimension, resolution)
+        grid = build_grid(self.dimension, capped_resolution(self.dimension, resolution))
         top = 0.0
         for u, _ in grid.iter_blocks():
             top = max(top, float(self.radial(u).max()))
@@ -293,14 +299,12 @@ class BodyProperties:
     """Volume, axial first moment, and average thickness of one body.
 
     ``moment`` is the first moment of volume along the symmetry axis (the
-    chart pole); the centroid sits at moment / volume. ``moment_vector``
-    carries all n components when they were computed.
+    chart pole); the centroid sits at moment / volume.
     """
 
     volume: float
     moment: float
     thickness: float
-    moment_vector: tuple | None = None
 
 
 def _check_pair(shape: StarShape, grid: DirectionGrid):

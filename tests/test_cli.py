@@ -242,6 +242,43 @@ def test_thickness_file_shape_errors(runner, tmp_path):
     assert "values" in payload(result)["detail"]
 
 
+@pytest.mark.parametrize("n,resolution", [(2, 9), (3, 8), (4, 6), (3, 1)])
+def test_file_shape_lookup_matches_regular_grid_interpolator(tmp_path, n, resolution):
+    # scipy's interpolator is a test-only reference for the multilinear lookup,
+    # with the azimuth closed at 2 pi and linear extrapolation past the end
+    # nodes (the poles lie outside every polar axis)
+    from scipy.interpolate import RegularGridInterpolator
+
+    from hyperthick import cartesian_to_spherical, unit_vectors
+    from hyperthick.cli import parse_shape
+
+    rng = np.random.default_rng(n * 100 + resolution)
+    grid = build_grid(n, resolution)
+    # a smooth table with noise; extrapolated noise alone can reach r <= 0
+    values = 1.0 + 0.2 * unit_vectors(grid.angles())[:, 0] + 0.1 * rng.random(grid.node_count)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"n": n, "resolution": resolution, "values": values.tolist()}))
+    shape = parse_shape(f"file:{path}", None)
+
+    coords = [nodes for nodes, _ in grid.axes]
+    coords[-1] = np.append(coords[-1], 2.0 * math.pi)
+    table = values.reshape([nodes.size for nodes, _ in grid.axes])
+    table = np.concatenate([table, table[..., :1]], axis=-1)
+    reference = RegularGridInterpolator(
+        tuple(coords), table, method="linear", bounds_error=False, fill_value=None
+    )
+
+    u = rng.normal(size=(20_000, n))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    poles = np.zeros((2, n))
+    poles[:, 0] = [1.0, -1.0]
+    seam = rng.uniform(0.05, math.pi - 0.05, size=(6, n - 1))
+    seam[:, -1] = [0.0, 0.0, 0.0, 2.0 * math.pi - 1e-13, 2.0 * math.pi - 1e-9, 1e-12]
+    u = np.vstack([u, poles, unit_vectors(seam)])
+    expected = reference(cartesian_to_spherical(u)[1])
+    assert np.abs(shape.radial(u) / expected - 1.0).max() <= 1e-15
+
+
 @pytest.mark.parametrize("key", ["n", "resolution"])
 def test_thickness_file_shape_bool_size_is_a_clean_error(runner, tmp_path, key):
     doc = {"n": 3, "resolution": 8, "values": [1.0] * 64}
@@ -385,6 +422,15 @@ def test_verify_sphere_optimality_six_dimensions_at_default_resolution(runner):
     doc = payload(result)
     assert doc["pass"] is True
     assert len(doc["checks"]) == 2
+
+
+def test_verify_sphere_optimality_echoes_default_resolution(runner):
+    # without --resolution the echo names the resolution the test ran at
+    result = invoke(runner, ["verify", "sphere-optimality", "--n", "7", "--trials", "2"])
+    assert result.exit_code == 0
+    doc = payload(result)
+    assert doc["params_echo"]["resolution"] == 10
+    assert doc["grid_resolution"] == {"n": 7, "resolution": 10, "node_count": 10**6}
 
 
 def test_verify_nullvector_passes(runner):

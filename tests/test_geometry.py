@@ -141,6 +141,17 @@ def test_legendre_angles_are_cached_and_read_only():
         weights *= 2.0
 
 
+def test_polar_rule_is_cached_and_read_only():
+    nodes, weights = polar_rule(9, 3)
+    again = polar_rule(9, 3)
+    assert again[0] is nodes and again[1] is weights
+    assert 0.0 < nodes[0] and np.all(np.diff(nodes) > 0.0) and nodes[-1] < math.pi
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+
+
 def test_budget_limits():
     grid = build_grid(8, 48)  # per-axis tables only; the tensor product is 48^7
     with pytest.raises(BudgetError):
@@ -154,6 +165,13 @@ def test_budget_limits():
         build_grid(4, 17, node_budget=1024)
     with pytest.raises(BudgetError):
         build_grid(2, 1025, node_budget=1024)
+    # each polar table is a dense Jacobi eigenproblem, capped at 2^24 entries
+    # wherever it is built; the plane has no polar table
+    with pytest.raises(BudgetError):
+        polar_rule(4097, 1)
+    with pytest.raises(BudgetError):
+        build_grid(3, 4097)
+    build_grid(2, 4097)
     grid = build_grid(5, 32)
     with pytest.raises(BudgetError):
         grid.angles(limit=1000)
@@ -163,15 +181,41 @@ def test_grid_self_check_raises_on_bad_weights(monkeypatch):
     # the weight-sum check must survive python -O, so it cannot be an assert
     from hyperthick import geometry
 
-    real = geometry.roots_jacobi
+    real = geometry._gauss_jacobi
 
-    def skewed(count, alpha, beta):
-        t, w = real(count, alpha, beta)
+    def skewed(count, power):
+        t, w = real(count, power)
         return t, 1.01 * w
 
-    monkeypatch.setattr(geometry, "roots_jacobi", skewed)
-    with pytest.raises(ConvergenceError):
-        build_grid(3, 8)
+    # polar_rule caches its tables: clear it so the skewed rule is the one
+    # that runs, and again so no skewed table outlives the test
+    geometry.polar_rule.cache_clear()
+    monkeypatch.setattr(geometry, "_gauss_jacobi", skewed)
+    try:
+        with pytest.raises(ConvergenceError):
+            build_grid(3, 8)
+    finally:
+        geometry.polar_rule.cache_clear()
+
+
+POWERS = range(1, 12)  # the polar densities of the grids for n <= 12
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 16, 64, 256, 1024])
+def test_gauss_jacobi_nodes_and_even_moments(count):
+    # nodes against scipy's rule (a test-only reference); the even moments
+    # int t^(2j) (1 - t^2)^a dt = B(j + 1/2, a + 1) against the beta function
+    from scipy.special import beta, roots_jacobi
+
+    from hyperthick.geometry import _gauss_jacobi
+
+    for power in POWERS:
+        a = (power - 1) / 2.0
+        t, w = _gauss_jacobi(count, power)
+        assert np.abs(t - roots_jacobi(count, a, a)[0]).max() <= 4.4e-16
+        for j in range(min(2 * count - 1, 60) // 2 + 1):
+            exact = beta(j + 0.5, a + 1.0)
+            assert abs(float(np.dot(w, t ** (2 * j))) / exact - 1.0) <= 1e-12, (power, j)
 
 
 def test_grid_rejects_bad_arguments():

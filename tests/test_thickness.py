@@ -24,7 +24,7 @@ from hyperthick import (
     volume,
 )
 from hyperthick.cli import parse_shape
-from hyperthick.errors import DomainError, InsufficientSamplingError
+from hyperthick.errors import BudgetError, DomainError, InsufficientSamplingError
 from hyperthick.geometry import polar_rule
 
 
@@ -317,6 +317,14 @@ def test_bounding_radius_covers_shape():
     grid = build_grid(3, 96)
     r = shape.radial(unit_vectors(grid.angles()))
     assert shape.bounding_radius() >= r.max()
+
+
+def test_zonal_bounding_scan_is_capped_like_a_grid():
+    # the zonal scan builds its polar table directly, under the same cap
+    ball = StarShape.ball(3)
+    assert ball.profile is not None
+    with pytest.raises(BudgetError):
+        ball.bounding_radius(4097)
 
 
 def test_axis_section_average_of_ball_is_disc_area():

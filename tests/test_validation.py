@@ -53,6 +53,7 @@ INTEGER_ARGS = {
     "sphere_optimality_test trials": (
         lambda v: sphere_optimality_test(2, 1, v, 0.01, 0, 8), 1, 0),
     "polar_rule count": (lambda v: polar_rule(v, 2), 3, 0),
+    "polar_rule power": (lambda v: polar_rule(3, v), 2, 0),
     "build_grid n": (lambda v: build_grid(v, 4).axes, 3, 1),
     "build_grid resolution": (lambda v: build_grid(3, v).axes, 4, 0),
     "build_grid node_budget": (lambda v: build_grid(3, 4, node_budget=v).axes, 1024, 0),
