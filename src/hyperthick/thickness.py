@@ -25,14 +25,16 @@ For bodies given only by an indicator function the same thickness is
 estimated by Monte Carlo straight from the radial form: a uniform direction u
 and a radius r with density proportional to r^(m-1) on [0, R] make
 V_m R^m * 1[r u in body] an unbiased estimate of T, a Bernoulli mean whose
-variance is bounded. The sampler draws each batch component-major, an (n, B)
-array whose rows are normalised in place. A body that is star-shaped about
-the origin (every StarShape.indicator) also carries its radial function, and
-the test is then r <= f(u) on the drawn direction, with no point formed and
-no norm taken again; such a run raises as soon as some f(u) exceeds R, since
-a body that leaves its bounding ball biases the estimate. Other bodies get
-the points r u and their own membership test. A ball's hits depend on r
-alone, so its estimate does not depend on the directions drawn.
+variance is bounded. A body that is star-shaped about the origin (every
+StarShape.indicator) also carries its radial function, and the test is then
+r <= f(u) on the drawn direction, with no point formed and no norm taken
+again; such a run raises as soon as some f(u) exceeds R, since a body that
+leaves its bounding ball biases the estimate. A zonal body also carries its
+profile g, and its test r <= g(u_1) reads one coordinate: only u_1 is drawn,
+from its exact marginal, with two uniforms per sample at every n. Other
+bodies draw each batch of directions component-major, an (n, B) Gaussian
+array whose columns are normalised in place; those that are not star-shaped
+get the points r u and their own membership test.
 """
 
 from __future__ import annotations
@@ -271,6 +273,7 @@ class StarShape:
             contains=contains,
             bounding_radius=self.bounding_radius(scan_resolution),
             radial=self.radial,
+            profile=None if self.profile is None else self._profile_radii,
         )
 
 
@@ -282,16 +285,22 @@ class IndicatorBody:
     false everywhere outside the bounding ball. ``radial`` is set only for a
     body that is star-shaped about the origin: it maps a (B, n) array of unit
     vectors to the (B,) boundary radii, and thickness_montecarlo then tests
-    radii against it instead of calling ``contains``.
+    radii against it instead of calling ``contains``. ``profile`` is set only
+    for a zonal body, n >= 3, whose radial function is g(u_1): it maps a 1-D
+    array of t = u_1 values to the radii g(t), and thickness_montecarlo then
+    draws only u_1 and tests radii against it, ahead of ``radial``.
     """
 
     dimension: int
     contains: Callable
     bounding_radius: float
     radial: Callable | None = None
+    profile: Callable | None = None
 
     def __post_init__(self):
         check_real(self.bounding_radius, "bounding radius")
+        if self.profile is not None and self.dimension < 3:
+            raise DomainError("a zonal profile needs dimension >= 3")
 
 
 @dataclass(frozen=True)
@@ -364,22 +373,44 @@ def centroid(shape: StarShape, grid: DirectionGrid) -> np.ndarray:
     return moment_vector(shape, grid) / v
 
 
+def _axial_cosines(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """u_1 of ``count`` uniform unit vectors in R^n, n >= 3, from two uniforms each.
+
+    For u uniform on the sphere, s^2 = u_1^2 + u_2^2 is Beta(1, (n - 2)/2),
+    drawn by inversion as 1 - U^(2/(n-2)), and the angle of (u_1, u_2) is
+    uniform and independent of s; cos(pi V) has the law of its cosine. This
+    is the coordinate-block marginal of Barthe, Guedon, Mendelson and Naor
+    (Ann. Probab. 33, 2005).
+    """
+    # in place: fresh chunk-sized temporaries go back to the system and are
+    # touched afresh every batch, in page faults
+    t, v = rng.random((2, count))
+    t **= 2.0 / (n - 2)
+    np.sqrt(np.subtract(1.0, t, out=t), out=t)
+    v *= np.pi
+    t *= np.cos(v, out=v)
+    return t
+
+
 def thickness_montecarlo(
     body: IndicatorBody, m: int, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo thickness of an indicator body: (estimate, one-sigma stderr).
 
-    Samples the radial form of T directly: u uniform on the sphere
-    (normalized Gaussians) and r = R (1 - U)^(1/m), whose density is
-    m r^(m-1) / R^m on (0, R]. The estimate is V_m R^m times the fraction of
-    points r u inside the body, a Bernoulli mean, so its variance is bounded
-    and the binomial stderr is a valid error bar for every 1 <= m < n. For
-    any body its expectation is m V_m / S_{n-1} times the integral of
-    |x|^(m-n) over the body. Deterministic for a fixed seed: a non-negative
-    integer or a non-empty list or tuple of them.
+    Samples the radial form of T directly: u uniform on the sphere and
+    r = R (1 - U)^(1/m), whose density is m r^(m-1) / R^m on (0, R]. The
+    estimate is V_m R^m times the fraction of points r u inside the body, a
+    Bernoulli mean, so its variance is bounded and the binomial stderr is a
+    valid error bar for every 1 <= m < n. For any body its expectation is
+    m V_m / S_{n-1} times the integral of |x|^(m-n) over the body.
+    Deterministic for a fixed seed: a non-negative integer or a non-empty
+    list or tuple of them.
 
-    With ``body.radial`` set, a point is inside when r <= radial(u); a radius
-    above R there raises DomainError, because the body then leaves its
+    With ``body.profile`` set, a point is inside when r <= profile(u_1), and
+    only u_1 is drawn (see _axial_cosines). Otherwise u is a normalised
+    Gaussian vector; with ``body.radial`` set, a point is inside when
+    r <= radial(u), and without it when contains(r u). On either radial test
+    a radius above R raises DomainError, because the body then leaves its
     bounding ball and the estimate would be biased low.
     """
     n = body.dimension
@@ -393,16 +424,19 @@ def thickness_montecarlo(
     done = 0
     while done < samples:
         c = min(MC_CHUNK, samples - done)
-        # component-major (n, c): the norm and the radial test loop over rows
-        # of length c, not over the n = 2-6 components of each point
-        u = rng.standard_normal((n, c))
+        if body.profile is not None:
+            f = body.profile(_axial_cosines(rng, n, c))
+        else:
+            # component-major (n, c): the norm and the radial test loop over
+            # rows of length c, not over the n = 2-6 components of each point
+            u = rng.standard_normal((n, c))
+            u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+            f = None if body.radial is None else body.radial(u.T)
         r = radius * (1.0 - rng.random(c)) ** (1.0 / m)
-        u /= np.sqrt(np.einsum("ij,ij->j", u, u))
-        if body.radial is None:
+        if f is None:
             u *= r
             inside = body.contains(u.T)
         else:
-            f = body.radial(u.T)
             top = float(f.max())
             if top > radius:
                 raise DomainError(

@@ -26,6 +26,7 @@ from hyperthick import (
 from hyperthick.cli import parse_shape
 from hyperthick.errors import BudgetError, DomainError, InsufficientSamplingError
 from hyperthick.geometry import polar_rule
+from hyperthick.thickness import _axial_cosines
 
 
 def rotation(n: int, seed: int) -> np.ndarray:
@@ -146,6 +147,82 @@ def test_montecarlo_error_bar_is_calibrated():
             assert 0.8 <= sd <= 1.25, (m, n, sd)
 
 
+def _sphere_moment(n: int, k: int) -> float:
+    """E[u_1^(2k)] for u uniform on the unit sphere in R^n: (2k-1)!! / prod_{j<k} (n + 2j)."""
+    return math.prod((2 * j + 1) / (n + 2 * j) for j in range(k))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_axial_cosines_match_sphere_moments(n):
+    # each sample moment of t = u_1 within 5 of its own sampling sd, both
+    # computed from the exact moments
+    count = 400_000
+    t = _axial_cosines(np.random.default_rng(n), n, count)
+    assert t.shape == (count,)
+    assert np.abs(t).max() <= 1.0
+    for k in (1, 2, 3):
+        even, odd = np.mean(t ** (2 * k)), np.mean(t ** (2 * k - 1))
+        mean = _sphere_moment(n, k)
+        sd_even = math.sqrt((_sphere_moment(n, 2 * k) - mean**2) / count)
+        sd_odd = math.sqrt(_sphere_moment(n, 2 * k - 1) / count)
+        assert abs(even - mean) < 5.0 * sd_even, (k, even, mean)
+        assert abs(odd) < 5.0 * sd_odd, (k, odd)
+
+
+def test_axial_cosine_is_uniform_in_three_dimensions():
+    # Archimedes: u_1 is uniform on [-1, 1] for n = 3; Kolmogorov-Smirnov
+    # distance under its 99% critical value 1.628 / sqrt(count)
+    count = 100_000
+    t = np.sort(_axial_cosines(np.random.default_rng(3), 3, count))
+    cdf = 0.5 * (t + 1.0)
+    upper = np.arange(1, count + 1) / count
+    distance = max(np.max(upper - cdf), np.max(cdf - (upper - 1.0 / count)))
+    assert distance < 1.628 / math.sqrt(count)
+
+
+@pytest.mark.parametrize(
+    "make,m",
+    [
+        (lambda: StarShape.cosine_series(4, [1.0, 0.3, -0.15]), 2),
+        (lambda: StarShape.cosine_series(5, [0.9, -0.25, 0.1, 0.05]), 3),
+        (lambda: StarShape.cosine_series(6, [1.0, 0.2, 0.2]), 4),
+        (lambda: stationary_shape(StationaryParams(n=4, m=2, lam=1.0, ecc=0.5)), 2),
+    ],
+    ids=["series-n4", "series-n5", "series-n6", "stationary-egg-n4"],
+)
+def test_montecarlo_zonal_shape_agrees_with_zonal_quadrature(make, m):
+    # unlike a ball's, these hits depend on the u_1 drawn
+    shape = make()
+    n = shape.dimension
+    body = shape.indicator()
+    assert body.profile is not None
+    t_quad = average_thickness(shape, m, build_grid(n, 64))
+    t_mc, stderr = thickness_montecarlo(body, m, 400_000, seed=[n, m])
+    assert abs(t_mc - t_quad) < 4.0 * stderr
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (5, 3)])
+def test_montecarlo_zonal_error_bar_is_calibrated(n, m):
+    # unlike a ball's, these hits depend on the u_1 drawn, so the z-scores
+    # also check the direction draw: unit spread and no offset
+    shape = StarShape.cosine_series(n, [1.0, 0.3, -0.15])
+    body = shape.indicator()
+    exact = average_thickness(shape, m, build_grid(n, 64))
+    z = []
+    for seed in range(200):
+        est, err = thickness_montecarlo(body, m, 5_000, seed=[n, m, seed])
+        z.append((est - exact) / err)
+    sd = float(np.std(z, ddof=1))
+    assert 0.8 <= sd <= 1.25, sd
+    # the mean of 200 unit-spread z-scores has sd 0.071
+    assert abs(float(np.mean(z))) < 0.3
+
+
+def test_zonal_profile_needs_three_dimensions():
+    with pytest.raises(DomainError, match="dimension >= 3"):
+        IndicatorBody(2, lambda p: np.ones(len(p), bool), 1.0, profile=np.ones_like)
+
+
 def test_montecarlo_is_deterministic_in_seed():
     body = StarShape.ball(2, 1.0).indicator()
     a = thickness_montecarlo(body, 1, 50_000, seed=11)
@@ -193,25 +270,30 @@ def _file_shape(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "make,m",
+    "make,m,zonal",
     [
-        (lambda tmp: StarShape.ball(5, 1.3), 2),
-        (lambda tmp: StarShape.cosine_series(3, [1.0, 0.25, -0.1]), 1),
-        (lambda tmp: StarShape.cosine_series(2, [1.0, 0.2], [0.1, -0.05]), 1),
-        (lambda tmp: StarShape.cosine_series(4, [1.0, 0.3, 0.1]).rotated(rotation(4, 2)), 3),
-        (_file_shape, 2),
+        (lambda tmp: StarShape.ball(5, 1.3), 2, True),
+        (lambda tmp: StarShape.cosine_series(3, [1.0, 0.25, -0.1]), 1, True),
+        (lambda tmp: StarShape.cosine_series(2, [1.0, 0.2], [0.1, -0.05]), 1, False),
+        (lambda tmp: StarShape.cosine_series(4, [1.0, 0.3, 0.1]).rotated(rotation(4, 2)), 3, False),
+        (_file_shape, 2, False),
     ],
     ids=["ball", "zonal-series", "planar-sines", "rotated-n4", "file"],
 )
-def test_montecarlo_radial_test_equals_contains_test(make, m, tmp_path):
-    # the same directions and radii, tested as r <= f(u) or as r u in body
+def test_montecarlo_radial_test_equals_contains_test(make, m, zonal, tmp_path):
+    # the same directions and radii, tested as r <= f(u) or as r u in body;
+    # a zonal body draws u_1 alone, so there only the estimates must agree
     body = make(tmp_path).indicator(16)
     assert body.radial is not None
-    by_points = dataclasses.replace(body, radial=None)
+    assert (body.profile is not None) == zonal
+    by_points = dataclasses.replace(body, radial=None, profile=None)
     for seed in (0, 9):
-        assert thickness_montecarlo(body, m, 40_000, seed) == thickness_montecarlo(
-            by_points, m, 40_000, seed
-        )
+        a = thickness_montecarlo(body, m, 40_000, seed)
+        b = thickness_montecarlo(by_points, m, 40_000, seed)
+        if zonal:
+            assert abs(a[0] - b[0]) < 4.0 * math.hypot(a[1], b[1])
+        else:
+            assert a == b
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (5, 2)])
@@ -238,7 +320,15 @@ def test_montecarlo_raises_on_underestimated_bounding_radius():
     t0 = 0.5 * (nodes[31] + nodes[32])
     shape = StarShape.zonal(3, lambda t: 1.0 + 0.5 * np.exp(-(((t - t0) / 0.004) ** 2)))
     body = shape.indicator()
+    assert body.profile is not None
     assert body.bounding_radius < 1.1
+    with pytest.raises(DomainError, match="bounding radius"):
+        thickness_montecarlo(body, 2, 100_000, seed=1)
+    # the same check on the direction-vector path: a radius set by hand
+    # below the 1.3 that a rotated series reaches
+    rotated = StarShape.cosine_series(4, [1.0, 0.3]).rotated(rotation(4, 1))
+    body = dataclasses.replace(rotated.indicator(16), bounding_radius=1.0)
+    assert body.profile is None and body.radial is not None
     with pytest.raises(DomainError, match="bounding radius"):
         thickness_montecarlo(body, 2, 100_000, seed=1)
 
