@@ -34,7 +34,7 @@ from .errors import (
 from .geometry import DirectionGrid, _check_axis, build_grid, unit_vectors
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .stationary import StationaryParams, _radial_from_cos
-from .thickness import StarShape, _check_section_dim, capped_resolution
+from .thickness import StarShape, _check_pair, _check_section_dim, capped_resolution
 
 __all__ = [
     "DeformationSample",
@@ -48,6 +48,8 @@ __all__ = [
 
 RANK_THRESHOLD = 1e-8
 PROJECTION_TOL = 1e-14
+PROJECTION_SWEEPS = 300
+POLYNOMIAL_TERMS = 8
 
 
 def stationary_shape(params: StationaryParams) -> StarShape:
@@ -76,8 +78,7 @@ def stationarity_residual(
     m = _check_section_dim(m, n)
     lam = check_real(lam, "lambda")
     mu = check_real(mu, "mu", low=None)
-    if grid.dimension != n:
-        raise DomainError(f"grid dimension {grid.dimension} != shape dimension {n}")
+    _check_pair(shape, grid)
     a = _check_axis(axis, n)
     worst = 0.0
     for u, _ in grid.iter_blocks():
@@ -168,13 +169,13 @@ def nullvector_recover(sample: DeformationSample) -> tuple[float, np.ndarray, fl
 # ---------------------------------------------------------------------------
 
 
-def _random_direction_polynomial(rng, u: np.ndarray, terms: int = 8) -> np.ndarray:
-    """Node values of a random polynomial (degree <= 4) in direction cosines,
-    scaled to unit max magnitude."""
+def _random_direction_polynomial(rng, u: np.ndarray) -> np.ndarray:
+    """Node values of a random polynomial (POLYNOMIAL_TERMS monomials of
+    degree <= 4) in direction cosines, scaled to unit max magnitude."""
     b, n = u.shape
     while True:
         p = np.zeros(b)
-        for _ in range(terms):
+        for _ in range(POLYNOMIAL_TERMS):
             deg = int(rng.integers(1, 5))
             idx = rng.integers(0, n, size=deg)
             term = rng.standard_normal() * np.ones(b)
@@ -186,13 +187,14 @@ def _random_direction_polynomial(rng, u: np.ndarray, terms: int = 8) -> np.ndarr
             return p / top
 
 
-def _project_constraints(f, u, w, n, v_target, max_iter=300):
+def _project_constraints(f, u, w, n, v_target):
     """Alternate exact volume rescale and first-harmonic centroid shift.
 
     Both constraints are low-dimensional; at small amplitude the alternation
-    contracts by a factor of the amplitude per sweep.
+    contracts by a factor of the amplitude per sweep, and PROJECTION_SWEEPS
+    sweeps without reaching PROJECTION_TOL raise ProjectionError.
     """
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_SWEEPS):
         vol = float(np.dot(f**n, w)) / n
         f = f * (v_target / vol) ** (1.0 / n)
         mom = ((f ** (n + 1) * w) @ u) / (n + 1)
@@ -244,9 +246,7 @@ def sphere_optimality_test(
     seed = check_seed(seed)
     if resolution is None:
         resolution = _optimality_resolution(n)
-    grid = build_grid(n, resolution)
-    u = unit_vectors(grid.angles())
-    w = grid.weights()
+    u, w = build_grid(n, resolution).nodes()
     coef = unit_ball_volume(m) / unit_sphere_area(n - 1)
     t_ball = coef * float(w.sum())
     v_ball = unit_ball_volume(n)
@@ -283,7 +283,7 @@ class DumbbellConfig:
     def __post_init__(self):
         check_real(self.area, "area")
         check_real(self.centroid_distance, "centroid distance")
-        if not 0.0 < self.gamma < 1.0:
+        if not check_real(self.gamma, "gamma") < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma!r}")
 
     @property

@@ -19,7 +19,7 @@ class DomainError(HyperthickError, ValueError):
 
 
 class BudgetError(HyperthickError):
-    """A requested grid would exceed the configured node budget."""
+    """A requested grid or table would exceed one of the fixed size limits."""
 
 
 class DegenerateBodyError(HyperthickError):

@@ -18,11 +18,12 @@ weight sums are exact; see polar_rule) and a uniform trapezoid rule in the
 azimuth. Each polar table is built once per (node count, power) and cached
 as read-only arrays. Grids are stored in factored per-axis form; dense
 enumeration happens in blocks of unit direction vectors, so large grids
-never materialize all at once, and the node budget applies there. Integrands
+never materialize all at once (DirectionGrid.nodes() gathers them when a
+caller needs every node), and the node budget applies there. Integrands
 that depend on u_1 alone (zonal ones) need only the first polar axis:
 DirectionGrid.zonal_rule folds the other axes into their weight sums, so
 the rule has resolution nodes whatever n is. Angles are the chart that
-builds grids and reads shape tables; everything that evaluates a radius
+builds grids and lays out shape tables; everything that evaluates a radius
 works on the unit vectors.
 
 legendre_angles is the Gauss-Legendre rule on [0, pi] shared by the
@@ -32,6 +33,7 @@ it is built on first use per node count and cached as read-only arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -53,10 +55,11 @@ __all__ = [
     "unit_vectors",
 ]
 
+# Most nodes a tensor grid may hold, and most nodes one iter_blocks block holds
 DEFAULT_NODE_BUDGET = 1 << 28
 DEFAULT_BLOCK = 1 << 22
-# Most entries one materialized array may hold: the nodes of angles(), and
-# the dense Jacobi matrix of a polar table (4096 nodes)
+# Most entries one materialized array may hold: the nodes of nodes() and
+# angles(), and the dense Jacobi matrix of a polar table (4096 nodes)
 MATERIALIZE_LIMIT = 1 << 24
 
 TWO_PI = 2.0 * math.pi
@@ -166,21 +169,14 @@ class DirectionGrid:
     dimension: int
     resolution: int
     axes: tuple = field(repr=False)
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     @property
     def node_count(self) -> int:
-        count = 1
-        for nodes, _ in self.axes:
-            count *= nodes.size
-        return count
+        return math.prod(nodes.size for nodes, _ in self.axes)
 
-    def sum_weights(self) -> float:
+    def total_weight(self) -> float:
         """Exact total weight (the area of the unit (n-1)-sphere up to rounding)."""
-        total = 1.0
-        for _, weights in self.axes:
-            total *= float(weights.sum())
-        return total
+        return math.prod(float(weights.sum()) for _, weights in self.axes)
 
     def zonal_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """1-D rule (t, weights) for integrands that depend on t = u_1 only.
@@ -195,7 +191,7 @@ class DirectionGrid:
         rest = math.prod(float(w.sum()) for _, w in self.axes[1:])
         return np.cos(nodes), weights * rest
 
-    def iter_blocks(self, max_block: int = DEFAULT_BLOCK):
+    def iter_blocks(self):
         """Yield (u, weights) blocks covering the full tensor product.
 
         ``u`` is the (B, n) array of unit direction vectors and ``weights``
@@ -204,19 +200,21 @@ class DirectionGrid:
         axes: the unit vectors of the trailing sub-chart are built once from
         per-axis cosine and sine tables, and each block only scales them by
         the leading angles' sine product, so no node pays for trigonometry.
-        A tensor product of more than ``node_budget`` nodes raises BudgetError.
+        A block holds at most DEFAULT_BLOCK nodes unless the azimuth alone
+        holds more. A tensor product of more than DEFAULT_NODE_BUDGET nodes
+        raises BudgetError.
         """
-        if self.node_count > self.node_budget:
+        if self.node_count > DEFAULT_NODE_BUDGET:
             raise BudgetError(
                 f"grid holds {self.node_count} nodes, over the budget of "
-                f"{self.node_budget}; lower the resolution or raise node_budget"
+                f"{DEFAULT_NODE_BUDGET}; lower the resolution"
             )
         sizes = [nodes.size for nodes, _ in self.axes]
         num_axes = len(sizes)
         # longest suffix whose node count fits in a block
         t = 1
         tail_size = sizes[-1]
-        while t < num_axes and tail_size * sizes[num_axes - t - 1] <= max_block:
+        while t < num_axes and tail_size * sizes[num_axes - t - 1] <= DEFAULT_BLOCK:
             tail_size *= sizes[num_axes - t - 1]
             t += 1
         q = num_axes - t  # prefix axes enumerated one combination per block
@@ -224,36 +222,28 @@ class DirectionGrid:
         cos_tab = [np.cos(nodes) for nodes, _ in self.axes]
         sin_tab = [np.sin(nodes) for nodes, _ in self.axes]
         # unit vectors of the trailing sub-chart, one row per component
-        tail_shape = sizes[q:]
         tail_u = np.empty((t + 1, tail_size))
+        rows = tail_u.reshape(t + 1, *sizes[q:])  # written in place, with no temporaries
         running = np.ones([1] * t)
         for j in range(t):
             axis_shape = [1] * t
             axis_shape[j] = sizes[q + j]
-            tail_u[j] = np.broadcast_to(
-                running * cos_tab[q + j].reshape(axis_shape), tail_shape
-            ).reshape(-1)
-            running = running * sin_tab[q + j].reshape(axis_shape)
-        tail_u[t] = np.broadcast_to(running, tail_shape).reshape(-1)
-        tw = self.axes[q][1]
-        for _, wnext in self.axes[q + 1 :]:
-            tw = (tw[:, None] * wnext[None, :]).reshape(-1)
+            np.multiply(running, cos_tab[q + j].reshape(axis_shape), out=rows[j])
+            # the last sine product is the last component
+            out = rows[t] if j == t - 1 else None
+            running = np.multiply(running, sin_tab[q + j].reshape(axis_shape), out=out)
+        # a fresh array even for one axis: starting from 1.0 copies the table
+        tw = reduce(np.multiply.outer, [w for _, w in self.axes[q:]], 1.0).reshape(-1)
 
-        # component-major buffer: each direction cosine is one contiguous row
-        ubuf = np.empty((num_axes + 1, tail_size))
-        wbuf = np.empty(tail_size)
+        # component-major buffer: each direction cosine is one contiguous row;
+        # a single block (no prefix) is the trailing sub-chart itself
+        ubuf = np.empty((num_axes + 1, tail_size)) if q else tail_u
+        wbuf = np.empty(tail_size) if q else tw
 
-        prefix_sizes = sizes[:q]
-        total_prefix = 1
-        for s in prefix_sizes:
-            total_prefix *= s
-        idx = [0] * q
-        for flat in range(total_prefix):
-            rem = flat
+        # one block per prefix index, in C order (the last prefix axis fastest)
+        for idx in itertools.product(*map(range, sizes[:q])):
             scale = 1.0
             for col in range(q - 1, -1, -1):
-                idx[col] = rem % prefix_sizes[col]
-                rem //= prefix_sizes[col]
                 scale *= self.axes[col][1][idx[col]]
             sin_prod = 1.0
             for col in range(q):
@@ -263,23 +253,30 @@ class DirectionGrid:
             np.multiply(tw, scale, out=wbuf)
             yield ubuf.T, wbuf
 
-    def _check_limit(self, limit: int) -> None:
-        if self.node_count > limit:
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, n) unit vectors and (N,) weights of every node, copied from
+        iter_blocks in block order; over MATERIALIZE_LIMIT nodes raises BudgetError."""
+        self._check_limit()
+        u, w = np.empty((self.node_count, self.dimension)), np.empty(self.node_count)
+        start = 0
+        for block_u, block_w in self.iter_blocks():
+            u[start : start + block_w.size] = block_u
+            w[start : start + block_w.size] = block_w
+            start += block_w.size
+        return u, w
+
+    def _check_limit(self) -> None:
+        if self.node_count > MATERIALIZE_LIMIT:
             raise BudgetError(
-                f"{self.node_count} nodes exceed the materialization limit {limit}"
+                f"{self.node_count} nodes exceed the materialization limit "
+                f"{MATERIALIZE_LIMIT}"
             )
 
-    def angles(self, limit: int = MATERIALIZE_LIMIT) -> np.ndarray:
-        """Materialize every node's angles as one (N, n-1) array, in block order."""
-        self._check_limit(limit)
+    def angles(self) -> np.ndarray:
+        """Every node's angles as one (N, n-1) array, in block order: the shape-table layout."""
+        self._check_limit()
         mesh = np.meshgrid(*[nodes for nodes, _ in self.axes], indexing="ij")
         return np.stack([g.reshape(-1) for g in mesh], axis=1)
-
-    def weights(self, limit: int = 1 << 26) -> np.ndarray:
-        """Materialize every node's weight as one (N,) array, in block order."""
-        self._check_limit(limit)
-        # start from 1.0 so a one-axis grid returns a copy, not its own table
-        return reduce(np.multiply.outer, [w for _, w in self.axes], 1.0).reshape(-1)
 
 
 def _gauss_jacobi(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +314,6 @@ def _gauss_jacobi(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     return t, 1.0 / (b[-1] * d * q_prev)
 
 
-@lru_cache(maxsize=64, typed=True)
 def polar_rule(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule for a polar angle with density sin^power.
 
@@ -329,8 +325,12 @@ def polar_rule(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     it. Raises BudgetError above 4096 nodes (MATERIALIZE_LIMIT matrix
     entries).
     """
-    count = check_int(count, "node count", 1)
-    power = check_int(power, "density power", 1)
+    # validated before the cache lookup, which would fail on a list
+    return _polar_table(check_int(count, "node count", 1), check_int(power, "density power", 1))
+
+
+@lru_cache(maxsize=64)
+def _polar_table(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     # the Jacobi matrix is dense: about count^3 flops and count^2 floats
     # (4096 nodes take seconds and 128 MB, once per process)
     if count * count > MATERIALIZE_LIMIT:
@@ -361,41 +361,34 @@ def legendre_angles(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def build_grid(
-    n: int,
-    resolution: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> DirectionGrid:
+def build_grid(n: int, resolution: int) -> DirectionGrid:
     """Build the tensor-product sphere rule for R^n.
 
     Polar angle i (density power p = n-1-i) gets the polar_rule of
     ``resolution`` nodes for that power. The azimuth gets ``resolution``
     uniform nodes (trapezoid on the circle). Total node count is
-    resolution^(n-1); iter_blocks refuses to enumerate more than node_budget
-    of them, while zonal_rule needs only the first axis.
+    resolution^(n-1); iter_blocks refuses to enumerate more than
+    DEFAULT_NODE_BUDGET of them, while zonal_rule needs only the first axis.
     """
     n = check_int(n, "grid dimension n", 2)
     resolution = check_int(resolution, "resolution", 1)
-    node_budget = check_int(node_budget, "node_budget", 1)
     # only the per-axis tables are built here; the tensor product is checked
-    # against node_budget where iter_blocks enumerates it. polar_rule caps
-    # each polar table at MATERIALIZE_LIMIT Jacobi-matrix entries, and all
-    # polar nodes together are capped at sqrt(node_budget).
-    polar = (n - 2) * resolution
-    if polar > math.isqrt(node_budget) or resolution > node_budget:
+    # against DEFAULT_NODE_BUDGET where iter_blocks enumerates it. polar_rule
+    # caps each polar table at MATERIALIZE_LIMIT Jacobi-matrix entries, and
+    # all polar nodes together are capped at sqrt(DEFAULT_NODE_BUDGET).
+    polar, polar_cap = (n - 2) * resolution, math.isqrt(DEFAULT_NODE_BUDGET)
+    if polar > polar_cap or resolution > DEFAULT_NODE_BUDGET:
         raise BudgetError(
             f"per-axis tables would hold {polar} polar and {resolution} azimuth "
-            f"nodes, over the limits of {math.isqrt(node_budget)} and {node_budget}"
+            f"nodes, over the limits of {polar_cap} and {DEFAULT_NODE_BUDGET}"
         )
     axes = [polar_rule(resolution, n - 1 - i) for i in range(1, n - 1)]
     az_nodes = TWO_PI * np.arange(resolution) / resolution
     az_weights = np.full(resolution, TWO_PI / resolution)
     axes.append((az_nodes, az_weights))
-    grid = DirectionGrid(
-        dimension=n, resolution=resolution, axes=tuple(axes), node_budget=node_budget
-    )
+    grid = DirectionGrid(dimension=n, resolution=resolution, axes=tuple(axes))
     # cheap self-check: the factored weight sum must reproduce the sphere area
-    total, area = grid.sum_weights(), unit_sphere_area(n - 1)
+    total, area = grid.total_weight(), unit_sphere_area(n - 1)
     if not abs(total / area - 1.0) < 1e-12:
         raise ConvergenceError(
             f"quadrature weights sum to {total!r}, not the sphere area {area!r}"

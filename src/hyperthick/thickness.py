@@ -60,7 +60,6 @@ from .geometry import (
     frame_from_pole,
     legendre_angles,
     polar_rule,
-    unit_vectors,
 )
 from .nsphere import unit_ball_volume, unit_sphere_area
 
@@ -476,8 +475,10 @@ def axis_section_average(shape: StarShape, axis, grid: DirectionGrid) -> float:
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi
 
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    chart = np.stack([tt.reshape(-1), pp.reshape(-1)], axis=1)
-    f = shape.radial(unit_vectors(chart) @ q.T)
+    # unit vectors of the aligned chart, theta-major
+    sin_theta = np.sin(theta)
+    u = np.stack([np.repeat(np.cos(theta), n_phi), np.outer(sin_theta, np.cos(phi)).ravel(),
+                  np.outer(sin_theta, np.sin(phi)).ravel()], axis=1)
+    f = shape.radial(u @ q.T)
     ww = np.repeat(w_theta, n_phi) * w_phi
     return float(np.dot(f * f, ww)) / (2.0 * math.pi)

@@ -228,9 +228,7 @@ def test_first_variation_vanishes_on_tangent_space(n, m, ecc):
     # first order; at a stationary shape the thickness must then be flat too
     p = StationaryParams(n=n, m=m, lam=1.0, ecc=ecc)
     shape = stationary_shape(p)
-    grid = build_grid(n, 24)
-    w = grid.weights()
-    u = unit_vectors(grid.angles())
+    u, w = build_grid(n, 24).nodes()
     f0 = shape.radial(u)
 
     basis = np.stack([f0 ** (n - 1)] + [f0**n * u[:, i] for i in range(n)], axis=1)

@@ -255,7 +255,7 @@ def test_file_shape_lookup_matches_regular_grid_interpolator(tmp_path, n, resolu
     rng = np.random.default_rng(n * 100 + resolution)
     grid = build_grid(n, resolution)
     # a smooth table with noise; extrapolated noise alone can reach r <= 0
-    values = 1.0 + 0.2 * unit_vectors(grid.angles())[:, 0] + 0.1 * rng.random(grid.node_count)
+    values = 1.0 + 0.2 * grid.nodes()[0][:, 0] + 0.1 * rng.random(grid.node_count)
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"n": n, "resolution": resolution, "values": values.tolist()}))
     shape = parse_shape(f"file:{path}", None)

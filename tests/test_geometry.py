@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hyperthick import (
     build_grid,
     cartesian_to_spherical,
     frame_from_pole,
+    sphere_optimality_test,
+    unit_ball_volume,
     unit_sphere_area,
     unit_vectors,
 )
+from hyperthick import geometry
 from hyperthick.errors import BudgetError, ConvergenceError, DomainError
 from hyperthick.geometry import legendre_angles, polar_rule
 
@@ -71,7 +75,7 @@ def test_frame_from_pole_is_orthogonal():
 @pytest.mark.parametrize("n,res", [(2, 8), (3, 8), (4, 6), (5, 6), (6, 4)])
 def test_grid_weights_sum_to_sphere_area(n, res):
     grid = build_grid(n, res)
-    assert grid.sum_weights() == pytest.approx(unit_sphere_area(n - 1), rel=1e-13)
+    assert grid.total_weight() == pytest.approx(unit_sphere_area(n - 1), rel=1e-13)
 
 
 def test_low_order_moment_integrated_exactly():
@@ -79,20 +83,26 @@ def test_low_order_moment_integrated_exactly():
     # exact because the integrand is polynomial in the direction cosines
     for n in (3, 4, 5):
         grid = build_grid(n, 4)
-        ang = grid.angles()
-        w = grid.weights()
-        u = unit_vectors(ang)
+        u, w = grid.nodes()
         for j in range(n):
             val = float(np.dot(w, u[:, j] ** 2))
             assert val == pytest.approx(unit_sphere_area(n - 1) / n, rel=1e-12)
 
 
-def test_blocks_cover_grid_exactly():
-    grid = build_grid(4, 10)
+def reference_nodes(grid):
+    """Unit vectors from the angle chart and weights as an outer product of
+    the axis weights, both in C order: a reference built apart from iter_blocks."""
     u = unit_vectors(grid.angles())
-    w = grid.weights()
+    w = reduce(np.multiply.outer, [weights for _, weights in grid.axes], 1.0).reshape(-1)
+    return u, w
+
+
+def test_blocks_cover_grid_exactly(monkeypatch):
+    grid = build_grid(4, 10)
+    u, w = reference_nodes(grid)
+    monkeypatch.setattr(geometry, "DEFAULT_BLOCK", 97)
     got_u, got_w = [], []
-    for block_u, block_w in grid.iter_blocks(max_block=97):
+    for block_u, block_w in grid.iter_blocks():
         assert block_u.shape[0] == block_w.shape[0] <= 97 * 10  # tail axis kept whole
         got_u.append(block_u.copy())
         got_w.append(block_w.copy())
@@ -101,12 +111,46 @@ def test_blocks_cover_grid_exactly():
     assert np.allclose(np.concatenate(got_w), w, rtol=0, atol=0)
 
 
-def test_block_sums_match_materialized_dot():
+def test_block_sums_match_materialized_dot(monkeypatch):
     grid = build_grid(3, 24)
     f = lambda u: 1.0 + 0.4 * u[:, 0] ** 2
-    total = sum(float(np.dot(f(u), w)) for u, w in grid.iter_blocks(max_block=100))
-    u, w = unit_vectors(grid.angles()), grid.weights()
+    monkeypatch.setattr(geometry, "DEFAULT_BLOCK", 100)
+    total = sum(float(np.dot(f(u), w)) for u, w in grid.iter_blocks())
+    u, w = reference_nodes(grid)
     assert total == pytest.approx(float(np.dot(f(u), w)), rel=1e-14)
+
+
+@pytest.mark.parametrize("n,res", [(3, 24), (4, 10), (5, 8), (6, 6)])
+def test_nodes_match_the_reference(n, res):
+    grid = build_grid(n, res)
+    u, w = grid.nodes()
+    ref_u, ref_w = reference_nodes(grid)
+    # one block runs the same products in the same order as the reference
+    assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+    assert u.shape == (res ** (n - 1), n) and w.shape == (res ** (n - 1),)
+
+
+@pytest.mark.parametrize("n,res,block", [(3, 24, 24), (4, 10, 10), (4, 10, 100), (5, 8, 64), (6, 6, 97)])
+def test_nodes_and_sphere_optimality_do_not_depend_on_block_size(monkeypatch, n, res, block):
+    m = n // 2
+    grid = build_grid(n, res)
+    u, w = grid.nodes()
+    delta = [d for _, d in sphere_optimality_test(n, m, 2, 0.05, 3, res)]
+    monkeypatch.setattr(geometry, "DEFAULT_BLOCK", block)
+    assert len(list(grid.iter_blocks())) > 1
+    many_u, many_w = grid.nodes()
+    many_delta = [d for _, d in sphere_optimality_test(n, m, 2, 0.05, 3, res)]
+    if block == res and n <= 4:
+        # blocks of the azimuth alone walk the leading axes in the same order
+        # as one block does, so every product is the same
+        assert np.array_equal(many_u, u) and np.array_equal(many_w, w)
+        assert many_delta == delta
+    else:
+        # a longer tail groups the sine and weight products differently,
+        # which moves the last bit at most
+        assert np.abs(many_u - u).max() <= 2.3e-16
+        assert np.abs(many_w / w - 1.0).max() <= 8.9e-16
+        assert np.abs(np.subtract(many_delta, delta)).max() <= 1e-14 * unit_ball_volume(m)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -156,15 +200,12 @@ def test_budget_limits():
     grid = build_grid(8, 48)  # per-axis tables only; the tensor product is 48^7
     with pytest.raises(BudgetError):
         next(grid.iter_blocks())
-    # per-axis guard: polar nodes at most sqrt(node_budget), azimuth at most
-    # node_budget
-    build_grid(3, 32, node_budget=1024)
+    # per-axis guard, raised before any table is built: polar nodes at most
+    # sqrt(DEFAULT_NODE_BUDGET) = 16384, azimuth nodes at most the budget
     with pytest.raises(BudgetError):
-        build_grid(3, 33, node_budget=1024)
+        build_grid(7, 3277)  # 5 polar axes of 3277 nodes: 16385
     with pytest.raises(BudgetError):
-        build_grid(4, 17, node_budget=1024)
-    with pytest.raises(BudgetError):
-        build_grid(2, 1025, node_budget=1024)
+        build_grid(2, geometry.DEFAULT_NODE_BUDGET + 1)
     # each polar table is a dense Jacobi eigenproblem, capped at 2^24 entries
     # wherever it is built; the plane has no polar table
     with pytest.raises(BudgetError):
@@ -172,30 +213,31 @@ def test_budget_limits():
     with pytest.raises(BudgetError):
         build_grid(3, 4097)
     build_grid(2, 4097)
-    grid = build_grid(5, 32)
+    # materialized arrays hold at most MATERIALIZE_LIMIT = 2^24 nodes
+    grid = build_grid(4, 257)  # 257^3 = 16974593 nodes
     with pytest.raises(BudgetError):
-        grid.angles(limit=1000)
+        grid.nodes()
+    with pytest.raises(BudgetError):
+        grid.angles()
 
 
 def test_grid_self_check_raises_on_bad_weights(monkeypatch):
     # the weight-sum check must survive python -O, so it cannot be an assert
-    from hyperthick import geometry
-
     real = geometry._gauss_jacobi
 
     def skewed(count, power):
         t, w = real(count, power)
         return t, 1.01 * w
 
-    # polar_rule caches its tables: clear it so the skewed rule is the one
-    # that runs, and again so no skewed table outlives the test
-    geometry.polar_rule.cache_clear()
+    # polar_rule caches its tables: clear the cache so the skewed rule is the
+    # one that runs, and again so no skewed table outlives the test
+    geometry._polar_table.cache_clear()
     monkeypatch.setattr(geometry, "_gauss_jacobi", skewed)
     try:
         with pytest.raises(ConvergenceError):
             build_grid(3, 8)
     finally:
-        geometry.polar_rule.cache_clear()
+        geometry._polar_table.cache_clear()
 
 
 POWERS = range(1, 12)  # the polar densities of the grids for n <= 12

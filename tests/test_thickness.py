@@ -261,8 +261,7 @@ def test_twenty_random_shapes_montecarlo_vs_quadrature():
 
 
 def _file_shape(tmp_path):
-    grid = build_grid(3, 12)
-    u = unit_vectors(grid.angles())
+    u, _ = build_grid(3, 12).nodes()
     path = tmp_path / "shape.json"
     values = 1.0 + 0.2 * u[:, 0] - 0.1 * u[:, 1] * u[:, 2]
     path.write_text(json.dumps({"n": 3, "resolution": 12, "values": values.tolist()}))
@@ -404,8 +403,8 @@ def test_indicator_classifies_points():
 
 def test_bounding_radius_covers_shape():
     shape = StarShape.cosine_series(3, [1.0, 0.0, 0.2, 0.0, 0.05])
-    grid = build_grid(3, 96)
-    r = shape.radial(unit_vectors(grid.angles()))
+    u, _ = build_grid(3, 96).nodes()
+    r = shape.radial(u)
     assert shape.bounding_radius() >= r.max()
 
 
@@ -430,9 +429,7 @@ def test_axis_average_recovers_full_thickness():
     # axes reproduces the plain 2-section thickness
     shape = StarShape.cosine_series(3, [1.0, 0.25, 0.1])
     grid = build_grid(3, 48)
-    axis_grid = build_grid(3, 12)
-    axes = unit_vectors(axis_grid.angles())
-    w = axis_grid.weights()
+    axes, w = build_grid(3, 12).nodes()
     acc = sum(
         wi * axis_section_average(shape, axes[i], grid) for i, wi in enumerate(w)
     )

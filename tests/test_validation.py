@@ -56,7 +56,6 @@ INTEGER_ARGS = {
     "polar_rule power": (lambda v: polar_rule(3, v), 2, 0),
     "build_grid n": (lambda v: build_grid(v, 4).axes, 3, 1),
     "build_grid resolution": (lambda v: build_grid(3, v).axes, 4, 0),
-    "build_grid node_budget": (lambda v: build_grid(3, 4, node_budget=v).axes, 1024, 0),
     "unit_ball_volume n": (unit_ball_volume, 3, -1),
     "unit_sphere_area k": (unit_sphere_area, 2, -1),
     "body_properties resolution": (lambda v: body_properties(EGG, v), 8, 1),
@@ -114,6 +113,7 @@ BOUNDED_REAL_ARGS = {
 
 NOT_A_NUMBER = [
     ("True", True), ("False", False), ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+    ("str", "1"),
 ]
 
 
@@ -158,3 +158,22 @@ def test_seed_is_an_integer_or_a_sequence_of_them(name):
     for bad in ([], (), [3, True], [3, -1], [3, 1.5], [[3]], "3"):
         with pytest.raises(DomainError):
             call(bad)
+
+
+def test_dumbbell_gamma_follows_the_real_rule():
+    # gamma has no integer inside (0, 1), so it has no INTEGER_ARGS-style row
+    make = lambda v: dumbbell_thickness(DumbbellConfig(2.0, 5.0, v), True)
+    np.testing.assert_equal(make(np.float64(0.25)), make(0.25))
+    for bad in ("0.3", None, [0.3], True, math.nan, math.inf, 10**400, 0, 0.0, -0.1, 1, 1.0):
+        with pytest.raises(DomainError):
+            make(bad)
+
+
+def test_polar_rule_checks_its_arguments_before_the_cache():
+    # an unhashable or a float count must meet check_int, not the cache
+    for bad in ([4], (4,), 4.0, np.array([4])):
+        with pytest.raises(DomainError):
+            polar_rule(bad, 2)
+        with pytest.raises(DomainError):
+            polar_rule(3, bad)
+    assert polar_rule(np.int64(4), 2) is polar_rule(4, 2)
