@@ -293,8 +293,8 @@ def thickness(cfg, spec, m, dim, mc, samples, seed, resolution):
         echo["resolution"] = resolution
         grid = build_grid(shape.dimension, resolution)
         zonal = shape.profile is not None
-        # the nodes the rule integrates: the first polar axis, or all of them
-        nodes = grid.axes[0][0].size if zonal else grid.node_count
+        # the nodes the rule integrates: the zonal rule's, or the whole grid
+        nodes = grid.resolution if zonal else grid.node_count
         _emit(
             {"T": average_thickness(shape, m, grid), "rule": "zonal" if zonal else "tensor"},
             echo,
@@ -525,6 +525,7 @@ def verify_nullvector(cfg, seed, tolerance):
 def verify_factorization(cfg, codim, points, seed, tolerance):
     """Double-root factorization of the critical polynomial, random w sweep."""
     check_seed(seed)
+    check_int(points, "points", 1)
     tolerance = _pick(tolerance, cfg, "tolerance", 1e-12)
     ks = [codim] if codim is not None else list(range(1, 9))
     rng = np.random.default_rng(seed)

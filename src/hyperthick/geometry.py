@@ -20,9 +20,10 @@ as read-only arrays. Grids are stored in factored per-axis form; dense
 enumeration happens in blocks of unit direction vectors, so large grids
 never materialize all at once (DirectionGrid.nodes() gathers them when a
 caller needs every node), and the node budget applies there. Integrands
-that depend on u_1 alone (zonal ones) need only the first polar axis:
-DirectionGrid.zonal_rule folds the other axes into their weight sums, so
-the rule has resolution nodes whatever n is. Angles are the chart that
+that depend on u_1 alone (zonal ones) are 1-D integrals in t = u_1:
+zonal_rule(n, resolution) is the polar rule for the density sin^(n-2)
+times the area of the (n-2)-sphere the other coordinates sweep, so it has
+resolution nodes whatever n is and needs no grid. Angles are the chart that
 builds grids and lays out shape tables; everything that evaluates a radius
 works on the unit vectors.
 
@@ -53,13 +54,15 @@ __all__ = [
     "legendre_angles",
     "polar_rule",
     "unit_vectors",
+    "zonal_rule",
 ]
 
 # Most nodes a tensor grid may hold, and most nodes one iter_blocks block holds
 DEFAULT_NODE_BUDGET = 1 << 28
 DEFAULT_BLOCK = 1 << 22
 # Most entries one materialized array may hold: the nodes of nodes() and
-# angles(), and the dense Jacobi matrix of a polar table (4096 nodes)
+# angles(), the dense Jacobi matrix of a polar table and the companion matrix
+# of a Legendre rule (4096 nodes)
 MATERIALIZE_LIMIT = 1 << 24
 
 TWO_PI = 2.0 * math.pi
@@ -177,19 +180,6 @@ class DirectionGrid:
     def total_weight(self) -> float:
         """Exact total weight (the area of the unit (n-1)-sphere up to rounding)."""
         return math.prod(float(weights.sum()) for _, weights in self.axes)
-
-    def zonal_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """1-D rule (t, weights) for integrands that depend on t = u_1 only.
-
-        The nodes are the cosines of the first polar axis, exactly the u_1
-        values the tensor blocks carry, and the weights are that axis's
-        weights times the weight sums of all other axes, so the rule gives
-        the tensor-grid value up to rounding. Meant for n >= 3, where the
-        first axis is polar.
-        """
-        nodes, weights = self.axes[0]
-        rest = math.prod(float(w.sum()) for _, w in self.axes[1:])
-        return np.cos(nodes), weights * rest
 
     def iter_blocks(self):
         """Yield (u, weights) blocks covering the full tensor product.
@@ -319,8 +309,10 @@ def polar_rule(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns read-only (angles, weights), the angles ascending in (0, pi):
     the Gauss nodes of _gauss_jacobi in the cosine variable, mapped back
-    through arccos. The rule integrates the density exactly and smooth
-    integrands spectrally. It is built on first use for each (count, power)
+    through arccos. The raw weights must sum to S_{power+1} / S_power
+    within 1e-12 (else ConvergenceError) and are then scaled to that sum,
+    so the rule integrates the density exactly and smooth integrands
+    spectrally. It is built on first use for each (count, power)
     and cached, like legendre_angles; callers must not (and cannot) modify
     it. Raises BudgetError above 4096 nodes (MATERIALIZE_LIMIT matrix
     entries).
@@ -339,11 +331,32 @@ def _polar_table(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
             f"over the limit of {MATERIALIZE_LIMIT} entries"
         )
     t, w = _gauss_jacobi(count, power)
+    # the weights must sum to the integral of sin^power over [0, pi],
+    # S_{power+1} / S_power; a rule that misses it is broken, and the
+    # rounding left in a sum that meets it is scaled away
+    total, raw = unit_sphere_area(power + 1) / unit_sphere_area(power), float(w.sum())
+    if not abs(raw / total - 1.0) < 1e-12:
+        raise ConvergenceError(
+            f"polar weights of {count} nodes for sin^{power} sum to {raw!r}, not {total!r}"
+        )
     # ascending polar angle; arccos reverses the node order
-    angles, weights = np.arccos(t)[::-1].copy(), w[::-1].copy()
+    angles, weights = np.arccos(t)[::-1].copy(), w[::-1] * (total / raw)
     angles.flags.writeable = False
     weights.flags.writeable = False
     return angles, weights
+
+
+def zonal_rule(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-D rule (t, weights) over the sphere in R^n, n >= 3, for integrands
+    that depend on t = u_1 only.
+
+    The nodes are the cosines of polar_rule(resolution, n - 2), the same u_1
+    values the first polar axis of build_grid(n, resolution) carries, and
+    the weights are that rule's weights times the area S_{n-2} of the
+    sphere the other coordinates sweep, so they sum to S_{n-1}.
+    """
+    angles, weights = polar_rule(resolution, n - 2)
+    return np.cos(angles), weights * unit_sphere_area(n - 2)
 
 
 @lru_cache(maxsize=16)
@@ -352,7 +365,14 @@ def legendre_angles(count: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built on first use for each node count and cached, so repeated calls at
     one resolution cost nothing; callers must not (and cannot) modify it.
+    Raises BudgetError above 4096 nodes, as polar_rule does: leggauss builds
+    a dense count^2 companion matrix.
     """
+    if count * count > MATERIALIZE_LIMIT:
+        raise BudgetError(
+            f"a Legendre rule of {count} nodes needs a {count}^2 companion matrix, "
+            f"over the limit of {MATERIALIZE_LIMIT} entries"
+        )
     x, w = leggauss(count)
     nodes = (x + 1.0) * (math.pi / 2.0)
     weights = w * (math.pi / 2.0)
@@ -368,7 +388,8 @@ def build_grid(n: int, resolution: int) -> DirectionGrid:
     ``resolution`` nodes for that power. The azimuth gets ``resolution``
     uniform nodes (trapezoid on the circle). Total node count is
     resolution^(n-1); iter_blocks refuses to enumerate more than
-    DEFAULT_NODE_BUDGET of them, while zonal_rule needs only the first axis.
+    DEFAULT_NODE_BUDGET of them. zonal_rule(n, resolution) is the 1-D rule
+    whose nodes are this grid's first polar axis.
     """
     n = check_int(n, "grid dimension n", 2)
     resolution = check_int(resolution, "resolution", 1)

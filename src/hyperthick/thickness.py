@@ -15,22 +15,22 @@ blocks.
 
 Axisymmetric (zonal) shapes, whose radius depends on t = u_1 alone, carry
 their profile g(t): balls, cosine series for n >= 3, stationary shapes, and
-scaled copies of these. For them T, V and the moment reduce to one 1-D rule
-in t (DirectionGrid.zonal_rule) with the same u_1 nodes as the tensor grid,
-so the value is the tensor-grid value up to rounding at a cost that does not
-grow with n. Rotating a zonal shape off the axis loses the profile and falls
-back to the tensor grid.
+scaled copies of these. For them T, V and the moment are 1-D integrals in t,
+taken with zonal_rule(n, grid.resolution), whose nodes are the u_1 values of
+the grid's first polar axis, at a cost that does not grow with n. Rotating a
+zonal shape off the axis loses the profile and falls back to the tensor
+grid.
 
 For bodies given only by an indicator function the same thickness is
 estimated by Monte Carlo straight from the radial form: a uniform direction u
 and a radius r with density proportional to r^(m-1) on [0, R] make
 V_m R^m * 1[r u in body] an unbiased estimate of T, a Bernoulli mean whose
 variance is bounded. A body that is star-shaped about the origin (every
-StarShape.indicator) also carries its radial function, and the test is then
-r <= f(u) on the drawn direction, with no point formed and no norm taken
-again; such a run raises as soon as some f(u) exceeds R, since a body that
-leaves its bounding ball biases the estimate. A zonal body also carries its
-profile g, and its test r <= g(u_1) reads one coordinate: only u_1 is drawn,
+StarShape.indicator) holds its StarShape, and the test is then r <= f(u) on
+the drawn direction, with no point formed and no norm taken again; such a
+run raises as soon as some f(u) exceeds R, since a body that leaves its
+bounding ball biases the estimate. For a zonal shape the test is
+r <= g(u_1) on its profile g, which reads one coordinate: only u_1 is drawn,
 from its exact marginal, with two uniforms per sample at every n. Other
 bodies draw each batch of directions component-major, an (n, B) Gaussian
 array whose columns are normalised in place; those that are not star-shaped
@@ -59,7 +59,7 @@ from .geometry import (
     build_grid,
     frame_from_pole,
     legendre_angles,
-    polar_rule,
+    zonal_rule,
 )
 from .nsphere import unit_ball_volume, unit_sphere_area
 
@@ -150,7 +150,7 @@ class StarShape:
         return _checked_radii(self.profile(t), t.shape[0])
 
     @staticmethod
-    def zonal(dimension: int, profile: Callable, name: str = "zonal") -> "StarShape":
+    def zonal(dimension: int, profile, name: str = "zonal") -> "StarShape":
         """Axisymmetric shape about x_1 with radius g(u_1).
 
         ``profile`` maps a 1-D array of t = u_1 values to radii. For n >= 3
@@ -238,18 +238,27 @@ class StarShape:
 
         return StarShape(n, fn, name=f"{self.name}@rot")
 
+    def contains(self, points) -> np.ndarray:
+        """Membership |x| <= f(x / |x|) of (n,) or (B, n) points; the origin raises."""
+        pts = np.asarray(points, dtype=float)
+        r = np.sqrt(np.einsum("...i,...i->...", pts, pts))
+        if not np.all(r > 0.0):
+            raise DomainError("the origin has no defined direction")
+        return r <= self.radial(pts / r[..., None])
+
     def bounding_radius(self, scan_resolution: int = 64) -> float:
         """Upper bound on the radial function: a grid scan padded by BOUNDING_PAD.
 
-        Zonal shapes scan their profile on the first polar axis of the same
-        grid, which holds every u_1 value the full scan visits, so the bound
-        is the same at a cost independent of n. Other shapes scan the tensor
-        grid, at the largest resolution up to ``scan_resolution`` whose
-        resolution^(n-1) nodes stay within SCAN_NODES.
+        Zonal shapes scan their profile on the nodes of
+        zonal_rule(n, scan_resolution), which are every u_1 value the tensor
+        scan visits, so the bound is the same at a cost independent of n.
+        Other shapes scan the tensor grid, at the largest resolution up to
+        ``scan_resolution`` whose resolution^(n-1) nodes stay within
+        SCAN_NODES.
         """
         if self.profile is not None:
-            angles, _ = polar_rule(scan_resolution, self.dimension - 2)
-            return float(self._profile_radii(np.cos(angles)).max()) * BOUNDING_PAD
+            t, _ = zonal_rule(self.dimension, scan_resolution)
+            return float(self._profile_radii(t).max()) * BOUNDING_PAD
         resolution = check_int(scan_resolution, "scan resolution", 1)
         grid = build_grid(self.dimension, capped_resolution(self.dimension, resolution))
         top = 0.0
@@ -258,21 +267,11 @@ class StarShape:
         return top * BOUNDING_PAD
 
     def indicator(self, scan_resolution: int = 64) -> "IndicatorBody":
-        """Indicator view of the same body, for the Monte Carlo estimator."""
-
-        def contains(points, _self=self):
-            pts = np.asarray(points, dtype=float)
-            r = np.sqrt(np.einsum("...i,...i->...", pts, pts))
-            if not np.all(r > 0.0):
-                raise DomainError("the origin has no defined direction")
-            return r <= _self.radial(pts / r[..., None])
-
+        """Indicator view of the same body, for the Monte Carlo estimator: its
+        membership test, its bounding radius scanned at ``scan_resolution``,
+        and the shape itself."""
         return IndicatorBody(
-            dimension=self.dimension,
-            contains=contains,
-            bounding_radius=self.bounding_radius(scan_resolution),
-            radial=self.radial,
-            profile=None if self.profile is None else self._profile_radii,
+            self.dimension, self.contains, self.bounding_radius(scan_resolution), self
         )
 
 
@@ -281,25 +280,19 @@ class IndicatorBody:
     """Body known only through membership tests inside a bounding ball.
 
     ``contains`` maps a (B, n) point array to a (B,) boolean array and must be
-    false everywhere outside the bounding ball. ``radial`` is set only for a
-    body that is star-shaped about the origin: it maps a (B, n) array of unit
-    vectors to the (B,) boundary radii, and thickness_montecarlo then tests
-    radii against it instead of calling ``contains``. ``profile`` is set only
-    for a zonal body, n >= 3, whose radial function is g(u_1): it maps a 1-D
-    array of t = u_1 values to the radii g(t), and thickness_montecarlo then
-    draws only u_1 and tests radii against it, ahead of ``radial``.
+    false everywhere outside the bounding ball. ``shape`` is set only for a
+    body that is star-shaped about the origin (StarShape.indicator sets it),
+    and thickness_montecarlo then tests radii against the shape's radial
+    function, or its profile if it is zonal, instead of calling ``contains``.
     """
 
     dimension: int
     contains: Callable
     bounding_radius: float
-    radial: Callable | None = None
-    profile: Callable | None = None
+    shape: StarShape | None = None
 
     def __post_init__(self):
         check_real(self.bounding_radius, "bounding radius")
-        if self.profile is not None and self.dimension < 3:
-            raise DomainError("a zonal profile needs dimension >= 3")
 
 
 @dataclass(frozen=True)
@@ -326,7 +319,7 @@ def _power_integral(shape: StarShape, grid: DirectionGrid, power: int) -> float:
     """Quadrature of f^power over the unit sphere, in 1-D for zonal shapes."""
     _check_pair(shape, grid)
     if shape.profile is not None:
-        t, w = grid.zonal_rule()
+        t, w = zonal_rule(shape.dimension, grid.resolution)
         return float(np.dot(shape._profile_radii(t) ** power, w))
     total = 0.0
     for u, w in grid.iter_blocks():
@@ -357,7 +350,7 @@ def moment_vector(shape: StarShape, grid: DirectionGrid) -> np.ndarray:
     _check_pair(shape, grid)
     acc = np.zeros(n)
     if shape.profile is not None:
-        t, w = grid.zonal_rule()
+        t, w = zonal_rule(n, grid.resolution)
         acc[0] = float(np.dot(shape._profile_radii(t) ** (n + 1) * t, w))
         return acc / (n + 1)
     for u, w in grid.iter_blocks():
@@ -405,12 +398,12 @@ def thickness_montecarlo(
     Deterministic for a fixed seed: a non-negative integer or a non-empty
     list or tuple of them.
 
-    With ``body.profile`` set, a point is inside when r <= profile(u_1), and
-    only u_1 is drawn (see _axial_cosines). Otherwise u is a normalised
-    Gaussian vector; with ``body.radial`` set, a point is inside when
-    r <= radial(u), and without it when contains(r u). On either radial test
-    a radius above R raises DomainError, because the body then leaves its
-    bounding ball and the estimate would be biased low.
+    For a zonal ``body.shape`` a point is inside when r <= g(u_1), with g
+    the shape's profile, and only u_1 is drawn (see _axial_cosines).
+    Otherwise u is a normalised Gaussian vector; with ``body.shape`` set, a
+    point is inside when r <= f(u), and without it when contains(r u). On
+    either radial test a radius above R raises DomainError, because the body
+    then leaves its bounding ball and the estimate would be biased low.
     """
     n = body.dimension
     m = _check_section_dim(m, n)
@@ -418,19 +411,20 @@ def thickness_montecarlo(
     rng = np.random.default_rng(check_seed(seed))
     radius = float(body.bounding_radius)
     coef = unit_ball_volume(m) * radius**m
+    shape = body.shape
 
     hits = 0
     done = 0
     while done < samples:
         c = min(MC_CHUNK, samples - done)
-        if body.profile is not None:
-            f = body.profile(_axial_cosines(rng, n, c))
+        if shape is not None and shape.profile is not None:
+            f = shape._profile_radii(_axial_cosines(rng, n, c))
         else:
             # component-major (n, c): the norm and the radial test loop over
             # rows of length c, not over the n = 2-6 components of each point
             u = rng.standard_normal((n, c))
             u /= np.sqrt(np.einsum("ij,ij->j", u, u))
-            f = None if body.radial is None else body.radial(u.T)
+            f = None if shape is None else shape.radial(u.T)
         r = radius * (1.0 - rng.random(c)) ** (1.0 / m)
         if f is None:
             u *= r

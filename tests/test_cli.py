@@ -1,6 +1,7 @@
 import json
 import math
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -46,6 +47,14 @@ def test_nsphere_bad_dimension_is_a_clean_error(runner):
     doc = payload(result)
     assert doc["error"] == "DomainError"
     assert doc["detail"]
+
+
+def test_nsphere_past_the_gamma_overflow(runner):
+    doc = payload(invoke(runner, ["nsphere", "--dim", "400"]))
+    assert doc["V"] == pytest.approx(3.4126040259153336e-276, rel=1e-12)
+    result = invoke(runner, ["nsphere", "--dim", "100000"])
+    assert result.exit_code == 1
+    assert set(payload(result)) == {"error", "detail"}
 
 
 def test_version_flag(runner):
@@ -393,6 +402,14 @@ def test_verify_factorization_single_codimension(runner):
     assert [c["name"] for c in doc["checks"]] == ["k3"]
 
 
+def test_verify_factorization_needs_a_point(runner):
+    for points in ("0", "-1"):
+        result = invoke(runner, ["verify", "factorization", "--nm", "1", "--points", points])
+        assert result.exit_code == 1
+        doc = payload(result)
+        assert doc["error"] == "DomainError" and "points" in doc["detail"]
+
+
 def test_verify_factorization_impossible_tolerance_fails(runner):
     result = invoke(runner, ["verify", "factorization", "--tolerance", "0"])
     assert result.exit_code == 1
@@ -526,3 +543,94 @@ def test_config_file_rejects_bad_value(runner, tmp_path):
     cfg.write_text("resolution=abc\n")
     result = invoke(runner, ["--config", str(cfg), "nsphere", "--dim", "2"])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# robustness: every integer option at values out of range
+# ---------------------------------------------------------------------------
+
+# one cheap valid call per command; thickness twice, so that --samples is read
+BASE_CALLS = [
+    ["nsphere", "--dim", "3"],
+    ["thickness", "--shape", "ball:1", "--n", "3", "--m", "1", "--resolution", "8"],
+    ["thickness", "--shape", "ball:1", "--n", "3", "--m", "1", "--mc", "--samples", "1000"],
+    ["stationary", "profile", "--nm", "1", "--lambda", "1", "--ecc", "0.5", "--points", "20",
+     "--out", "profile.csv"],
+    ["stationary", "props", "--n", "3", "--m", "2", "--lambda", "1", "--ecc", "0.5",
+     "--resolution", "16"],
+    ["verify", "sphere-optimality", "--trials", "2", "--resolution", "8"],
+    ["verify", "identity", "--resolution", "16"],
+    ["verify", "nullvector"],
+    ["verify", "factorization", "--nm", "1", "--points", "20"],
+    ["dumbbell", "--area", "1", "--centroid", "0.7", "--gamma-sweep", "0.2"],
+]
+
+
+def _command(args):
+    """The click command a call runs, and the words that name it."""
+    cmd, path = main, []
+    while isinstance(cmd, click.Group):
+        path.append(args[len(path)])
+        cmd = cmd.commands[path[-1]]
+    return cmd, path
+
+
+def _leaf_commands(group, path=()):
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from _leaf_commands(cmd, (*path, name))
+        else:
+            yield [*path, name]
+
+
+def _with_option(args, flag, value):
+    if flag in args:
+        i = args.index(flag)
+        return [*args[: i + 1], value, *args[i + 2 :]]
+    return [*args, flag, value]
+
+
+def _bad_integer_calls():
+    for base in BASE_CALLS:
+        cmd, path = _command(base)
+        for param in cmd.params:
+            if isinstance(param, click.Option) and param.type is click.INT:
+                flag = max(param.opts, key=len)
+                for value in ("0", "-1"):
+                    yield pytest.param(_with_option(base, flag, value),
+                                       id=f"{' '.join(path)} {flag}={value}")
+
+
+RESOLUTION_CAPPED = [base for base in BASE_CALLS
+                     if "--resolution" in base and "--mc" not in base]
+
+
+def test_every_command_has_a_base_call():
+    assert sorted(_command(base)[1] for base in BASE_CALLS) == sorted(
+        [*_leaf_commands(main), ["thickness"]])
+    assert sorted(" ".join(_command(b)[1]) for b in RESOLUTION_CAPPED) == [
+        "stationary props", "thickness", "verify identity", "verify sphere-optimality"]
+
+
+def _run_cleanly(runner, args):
+    """Run a call; it must end in a documented exit code, never a traceback."""
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2), result.output
+    if result.exit_code == 1:
+        doc = json.loads(result.stdout)
+        assert set(doc) == {"error", "detail"} and doc["detail"], doc
+        return doc
+    return None
+
+
+@pytest.mark.parametrize("args", _bad_integer_calls())
+def test_integer_options_out_of_range_exit_cleanly(runner, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_cleanly(runner, args)
+
+
+@pytest.mark.parametrize("base", RESOLUTION_CAPPED, ids=lambda b: " ".join(_command(b)[1]))
+def test_resolution_over_the_table_cap_is_a_budget_error(runner, base):
+    doc = _run_cleanly(runner, _with_option(base, "--resolution", "4097"))
+    assert doc is not None and doc["error"] == "BudgetError", doc

@@ -16,7 +16,7 @@ from hyperthick import (
 )
 from hyperthick import geometry
 from hyperthick.errors import BudgetError, ConvergenceError, DomainError
-from hyperthick.geometry import legendre_angles, polar_rule
+from hyperthick.geometry import legendre_angles, polar_rule, zonal_rule
 
 
 def random_angles(rng, count, n):
@@ -156,7 +156,7 @@ def test_nodes_and_sphere_optimality_do_not_depend_on_block_size(monkeypatch, n,
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_zonal_rule_folds_the_tensor_grid(n):
     grid = build_grid(n, 18)
-    t, w = grid.zonal_rule()
+    t, w = zonal_rule(n, 18)
     assert t.shape == w.shape == (18,)
     # the nodes are exactly the u_1 values the blocks carry
     u1 = np.unique(np.concatenate([u[:, 0].copy() for u, _ in grid.iter_blocks()]))
@@ -213,6 +213,9 @@ def test_budget_limits():
     with pytest.raises(BudgetError):
         build_grid(3, 4097)
     build_grid(2, 4097)
+    # so is the Legendre rule, whose leggauss builds a dense companion matrix
+    with pytest.raises(BudgetError):
+        legendre_angles(4097)
     # materialized arrays hold at most MATERIALIZE_LIMIT = 2^24 nodes
     grid = build_grid(4, 257)  # 257^3 = 16974593 nodes
     with pytest.raises(BudgetError):

@@ -41,6 +41,22 @@ def test_area_matches_independent_gamma(k):
     assert unit_sphere_area(k) == pytest.approx(sphere_area_oracle(k), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [342, 400])
+def test_high_dimensions_past_the_gamma_overflow(n):
+    # Gamma(n/2 + 1) overflows a double here, but V_n and S_n do not
+    assert unit_ball_volume(n) == pytest.approx(ball_volume_oracle(n), rel=1e-12)
+    assert unit_sphere_area(n) == pytest.approx(sphere_area_oracle(n), rel=1e-12)
+
+
+def test_values_below_the_normal_range_raise():
+    # V_435 is about 4.2e-308, the last normal one; V_436 is about 5.0e-309
+    assert unit_ball_volume(435) == pytest.approx(ball_volume_oracle(435), rel=1e-12)
+    for bad in (lambda: unit_ball_volume(436), lambda: unit_sphere_area(10**6),
+                lambda: gamma(171.7)):
+        with pytest.raises(DomainError):
+            bad()
+
+
 @pytest.mark.parametrize("n", range(0, 21))
 def test_recurrences(n):
     # V_{n+1} = S_n / (n+1), S_{n+1} = 2 pi V_n, V_{n+2} = 2 pi V_n / (n+2)

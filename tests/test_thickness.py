@@ -45,6 +45,24 @@ def test_ball_thickness_is_unit_ball_volume(n):
             assert average_thickness(ball, m, grid) == pytest.approx(expect, rel=1e-12)
 
 
+def test_ball_thickness_is_exact_to_rounding():
+    # the polar weights are scaled to their exact sums, so the zonal rule
+    # integrates a constant to the last bit or so, and the tensor rule is
+    # off by the rounding of its weight products alone
+    worst = {"zonal": 0.0, "tensor": 0.0}
+    cases = [(n, r, "zonal") for n in range(3, 9) for r in (8, 16, 48, 128, 192)]
+    cases += [(3, 128, "tensor"), (3, 192, "tensor"), (4, 48, "tensor"), (5, 24, "tensor"),
+              (6, 12, "tensor")]
+    for n, resolution, rule in cases:
+        grid = build_grid(n, resolution)
+        shape = StarShape.ball(n) if rule == "zonal" else StarShape(n, lambda u: np.ones(len(u)))
+        assert (shape.profile is not None) == (rule == "zonal")
+        for m in range(1, n):
+            err = abs(average_thickness(shape, m, grid) / unit_ball_volume(m) - 1.0)
+            worst[rule] = max(worst[rule], err)
+    assert worst["zonal"] <= 1e-15 and worst["tensor"] <= 8e-15, worst
+
+
 def test_ball_volume_and_centroid():
     grid = build_grid(3, 32)
     ball = StarShape.ball(3, 1.7)
@@ -195,7 +213,7 @@ def test_montecarlo_zonal_shape_agrees_with_zonal_quadrature(make, m):
     shape = make()
     n = shape.dimension
     body = shape.indicator()
-    assert body.profile is not None
+    assert body.shape.profile is not None
     t_quad = average_thickness(shape, m, build_grid(n, 64))
     t_mc, stderr = thickness_montecarlo(body, m, 400_000, seed=[n, m])
     assert abs(t_mc - t_quad) < 4.0 * stderr
@@ -216,11 +234,6 @@ def test_montecarlo_zonal_error_bar_is_calibrated(n, m):
     assert 0.8 <= sd <= 1.25, sd
     # the mean of 200 unit-spread z-scores has sd 0.071
     assert abs(float(np.mean(z))) < 0.3
-
-
-def test_zonal_profile_needs_three_dimensions():
-    with pytest.raises(DomainError, match="dimension >= 3"):
-        IndicatorBody(2, lambda p: np.ones(len(p), bool), 1.0, profile=np.ones_like)
 
 
 def test_montecarlo_is_deterministic_in_seed():
@@ -283,9 +296,9 @@ def test_montecarlo_radial_test_equals_contains_test(make, m, zonal, tmp_path):
     # the same directions and radii, tested as r <= f(u) or as r u in body;
     # a zonal body draws u_1 alone, so there only the estimates must agree
     body = make(tmp_path).indicator(16)
-    assert body.radial is not None
-    assert (body.profile is not None) == zonal
-    by_points = dataclasses.replace(body, radial=None, profile=None)
+    assert body.shape is not None
+    assert (body.shape.profile is not None) == zonal
+    by_points = dataclasses.replace(body, shape=None)
     for seed in (0, 9):
         a = thickness_montecarlo(body, m, 40_000, seed)
         b = thickness_montecarlo(by_points, m, 40_000, seed)
@@ -319,7 +332,7 @@ def test_montecarlo_raises_on_underestimated_bounding_radius():
     t0 = 0.5 * (nodes[31] + nodes[32])
     shape = StarShape.zonal(3, lambda t: 1.0 + 0.5 * np.exp(-(((t - t0) / 0.004) ** 2)))
     body = shape.indicator()
-    assert body.profile is not None
+    assert body.shape.profile is not None
     assert body.bounding_radius < 1.1
     with pytest.raises(DomainError, match="bounding radius"):
         thickness_montecarlo(body, 2, 100_000, seed=1)
@@ -327,7 +340,7 @@ def test_montecarlo_raises_on_underestimated_bounding_radius():
     # below the 1.3 that a rotated series reaches
     rotated = StarShape.cosine_series(4, [1.0, 0.3]).rotated(rotation(4, 1))
     body = dataclasses.replace(rotated.indicator(16), bounding_radius=1.0)
-    assert body.profile is None and body.radial is not None
+    assert body.shape is not None and body.shape.profile is None
     with pytest.raises(DomainError, match="bounding radius"):
         thickness_montecarlo(body, 2, 100_000, seed=1)
 
