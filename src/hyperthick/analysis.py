@@ -212,8 +212,9 @@ def _optimality_resolution(n: int) -> int:
     """Default grid resolution of sphere_optimality_test in R^n.
 
     64 for n = 2, 48 for n = 3, and otherwise the largest up to 32 whose
-    resolution^(n-1) nodes stay within SCAN_NODES (16 at n = 6, 10 at
-    n = 7), so the materialized grid stays within the bounding scan's cap.
+    build_grid nodes stay within SCAN_NODES (27 at n = 6, 17 at n = 7:
+    capped_resolution), so the materialized grid stays within the bounding
+    scan's cap.
     """
     return capped_resolution(n, {2: 64, 3: 48}.get(n, 32))
 

@@ -189,7 +189,8 @@ def _shape_from_file(path: str) -> StarShape:
     values = np.asarray(doc["values"], dtype=float)
     if values.shape != (grid.node_count,):
         raise DomainError(
-            f"shape file holds {values.size} values, grid needs {grid.node_count}"
+            f"shape file holds {values.size} values; a table needs one per node of "
+            f"build_grid({n}, {resolution}), {grid.node_count} in angles() order"
         )
     if not np.all(np.isfinite(values)) or values.min() <= 0.0:
         raise DomainError("tabulated radii must be finite and positive")
@@ -265,6 +266,7 @@ def main(ctx, config_path):
 @_handle_errors
 def nsphere(dim):
     """Unit-ball volume V and boundary sphere area S for dimension n."""
+    check_int(dim, "--dim", 1)
     payload = {"n": dim, "V": unit_ball_volume(dim), "S": unit_sphere_area(dim - 1)}
     _emit(payload, {"dim": dim})
 
@@ -317,6 +319,7 @@ def stationary():
 def profile(codim, lam, ecc, points, out_path):
     """Write the profile curve (z, R) as CSV plus a JSON sidecar."""
     check_int(codim, "codimension n - m", 1)
+    check_int(points, "--points", 2)
     params = StationaryParams(n=codim + 1, m=1, lam=lam, ecc=ecc)
     curve = profile_curve(params, points)
     rows = [(float(z), float(r)) for z, r in zip(curve.z, curve.radius)]
@@ -430,7 +433,8 @@ def verify_sphere(cfg, dim, m, trials, amplitude, seed, resolution, tolerance):
         "amplitude": amplitude,
         "resolution": resolution,
     }
-    grid = {"n": dim, "resolution": resolution, "node_count": resolution ** (dim - 1)}
+    grid = {"n": dim, "resolution": resolution,
+            "node_count": build_grid(dim, resolution).node_count}
     _finish_verify(checks, echo, seed=seed, grid=grid)
 
 

@@ -15,17 +15,22 @@ density sin^{n-2}(phi_1) sin^{n-3}(phi_2) ... sin(phi_{n-2}).
 Quadrature grids are tensor products: Gauss-Jacobi nodes in cos(phi_i) for
 each polar angle (the sin-power density is the Jacobi weight function, so
 weight sums are exact; see polar_rule) and a uniform trapezoid rule in the
-azimuth. Each polar table is built once per (node count, power) and cached
-as read-only arrays. Grids are stored in factored per-axis form; dense
-enumeration happens in blocks of unit direction vectors, so large grids
-never materialize all at once (DirectionGrid.nodes() gathers them when a
-caller needs every node), and the node budget applies there. Integrands
-that depend on u_1 alone (zonal ones) are 1-D integrals in t = u_1:
-zonal_rule(n, resolution) is the polar rule for the density sin^(n-2)
-times the area of the (n-2)-sphere the other coordinates sweep, so it has
-resolution nodes whatever n is and needs no grid. Angles are the chart that
-builds grids and lays out shape tables; everything that evaluates a radius
-works on the unit vectors.
+azimuth. At resolution R the azimuth's R nodes are exact to trigonometric
+degree R-1, and each polar axis gets the R//2 + 1 Gauss nodes that are
+exact to the same degree, so the grid integrates every polynomial in the
+direction cosines of degree <= R-1 and holds (R//2 + 1)^(n-2) R nodes
+(_grid_size). Each polar table is built once per (node count, power) and
+cached as read-only arrays. Grids are stored in factored per-axis form;
+dense enumeration happens in blocks of unit direction vectors, so large
+grids never materialize all at once (DirectionGrid.nodes() gathers them
+when a caller needs every node), and the node budget applies there.
+Integrands that depend on u_1 alone (zonal ones) are 1-D integrals in
+t = u_1: zonal_rule(n, resolution) is the polar rule for the density
+sin^(n-2) times the area of the (n-2)-sphere the other coordinates sweep,
+so it has resolution nodes whatever n is and needs no grid: about twice the
+first polar axis of build_grid(n, resolution), since one axis alone is not
+limited by the azimuth. Angles are the chart that builds grids and lays out
+shape tables; everything that evaluates a radius works on the unit vectors.
 
 legendre_angles is the Gauss-Legendre rule on [0, pi] shared by the
 meridian quadrature of stationary shapes and the axis-aligned section rule;
@@ -350,10 +355,12 @@ def zonal_rule(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """1-D rule (t, weights) over the sphere in R^n, n >= 3, for integrands
     that depend on t = u_1 only.
 
-    The nodes are the cosines of polar_rule(resolution, n - 2), the same u_1
-    values the first polar axis of build_grid(n, resolution) carries, and
-    the weights are that rule's weights times the area S_{n-2} of the
-    sphere the other coordinates sweep, so they sum to S_{n-1}.
+    The nodes are the cosines of polar_rule(resolution, n - 2), exact to
+    degree 2 resolution - 1 in t: the u_1 values the first polar axis of
+    build_grid(n, 2 resolution - 2) carries, and about twice those of
+    build_grid(n, resolution). The weights are that rule's weights times
+    the area S_{n-2} of the sphere the other coordinates sweep, so they sum
+    to S_{n-1}.
     """
     angles, weights = polar_rule(resolution, n - 2)
     return np.cos(angles), weights * unit_sphere_area(n - 2)
@@ -381,15 +388,29 @@ def legendre_angles(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _polar_count(resolution: int) -> int:
+    """Nodes on each polar axis of a grid at ``resolution``: the fewest Gauss
+    nodes (exact to degree 2 (R//2) + 1 >= R - 1) that keep the azimuth's
+    exact degree R - 1."""
+    return resolution // 2 + 1
+
+
+def _grid_size(n: int, resolution: int) -> int:
+    """Node count of build_grid(n, resolution): (R//2 + 1)^(n-2) R."""
+    return _polar_count(resolution) ** (n - 2) * resolution
+
+
 def build_grid(n: int, resolution: int) -> DirectionGrid:
     """Build the tensor-product sphere rule for R^n.
 
-    Polar angle i (density power p = n-1-i) gets the polar_rule of
-    ``resolution`` nodes for that power. The azimuth gets ``resolution``
-    uniform nodes (trapezoid on the circle). Total node count is
-    resolution^(n-1); iter_blocks refuses to enumerate more than
-    DEFAULT_NODE_BUDGET of them. zonal_rule(n, resolution) is the 1-D rule
-    whose nodes are this grid's first polar axis.
+    The azimuth gets ``resolution`` uniform nodes (trapezoid on the circle),
+    exact to trigonometric degree resolution - 1. Polar angle i (density
+    power p = n-1-i) gets the polar_rule of _polar_count(resolution) =
+    resolution//2 + 1 nodes for that power, exact to the same degree, so
+    the grid integrates every polynomial of degree <= resolution - 1 in the
+    direction cosines exactly. Total node count is _grid_size(n,
+    resolution) = (resolution//2 + 1)^(n-2) resolution; iter_blocks
+    refuses to enumerate more than DEFAULT_NODE_BUDGET of them.
     """
     n = check_int(n, "grid dimension n", 2)
     resolution = check_int(resolution, "resolution", 1)
@@ -397,13 +418,14 @@ def build_grid(n: int, resolution: int) -> DirectionGrid:
     # against DEFAULT_NODE_BUDGET where iter_blocks enumerates it. polar_rule
     # caps each polar table at MATERIALIZE_LIMIT Jacobi-matrix entries, and
     # all polar nodes together are capped at sqrt(DEFAULT_NODE_BUDGET).
-    polar, polar_cap = (n - 2) * resolution, math.isqrt(DEFAULT_NODE_BUDGET)
+    count = _polar_count(resolution)
+    polar, polar_cap = (n - 2) * count, math.isqrt(DEFAULT_NODE_BUDGET)
     if polar > polar_cap or resolution > DEFAULT_NODE_BUDGET:
         raise BudgetError(
             f"per-axis tables would hold {polar} polar and {resolution} azimuth "
             f"nodes, over the limits of {polar_cap} and {DEFAULT_NODE_BUDGET}"
         )
-    axes = [polar_rule(resolution, n - 1 - i) for i in range(1, n - 1)]
+    axes = [polar_rule(count, n - 1 - i) for i in range(1, n - 1)]
     az_nodes = TWO_PI * np.arange(resolution) / resolution
     az_weights = np.full(resolution, TWO_PI / resolution)
     axes.append((az_nodes, az_weights))

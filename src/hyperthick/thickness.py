@@ -16,10 +16,10 @@ blocks.
 Axisymmetric (zonal) shapes, whose radius depends on t = u_1 alone, carry
 their profile g(t): balls, cosine series for n >= 3, stationary shapes, and
 scaled copies of these. For them T, V and the moment are 1-D integrals in t,
-taken with zonal_rule(n, grid.resolution), whose nodes are the u_1 values of
-the grid's first polar axis, at a cost that does not grow with n. Rotating a
-zonal shape off the axis loses the profile and falls back to the tensor
-grid.
+taken with zonal_rule(n, grid.resolution), whose grid.resolution nodes in
+u_1 are about twice those of the grid's first polar axis, at a cost that
+does not grow with n. Rotating a zonal shape off the axis loses the profile
+and falls back to the tensor grid.
 
 For bodies given only by an indicator function the same thickness is
 estimated by Monte Carlo straight from the radial form: a uniform direction u
@@ -56,6 +56,7 @@ from .errors import (
 )
 from .geometry import (
     DirectionGrid,
+    _grid_size,
     build_grid,
     frame_from_pole,
     legendre_angles,
@@ -84,16 +85,16 @@ MC_CHUNK = 1 << 14
 # between scan nodes; an overestimate only costs Monte Carlo acceptance
 BOUNDING_PAD = 1.05
 
-# Most nodes a tensor bounding scan visits: resolution^(n-1) at the default 64
-# is 1.07e9 at n = 6, over the node budget. Monte Carlo on a star-shaped body
-# raises if the coarser scan this forces underestimates the radius.
+# Most nodes a tensor bounding scan visits: the default resolution 64 holds
+# 33^4 * 64 = 7.6e7 nodes at n = 6. Monte Carlo on a star-shaped body raises
+# if the coarser scan this forces underestimates the radius.
 SCAN_NODES = 1 << 20
 
 
 def capped_resolution(n: int, resolution: int) -> int:
-    """The largest resolution <= ``resolution`` whose resolution^(n-1) tensor
+    """The largest resolution <= ``resolution`` whose build_grid(n, resolution)
     nodes stay within SCAN_NODES."""
-    while resolution > 1 and resolution ** (n - 1) > SCAN_NODES:
+    while resolution > 1 and _grid_size(n, resolution) > SCAN_NODES:
         resolution -= 1
     return resolution
 
@@ -249,12 +250,11 @@ class StarShape:
     def bounding_radius(self, scan_resolution: int = 64) -> float:
         """Upper bound on the radial function: a grid scan padded by BOUNDING_PAD.
 
-        Zonal shapes scan their profile on the nodes of
-        zonal_rule(n, scan_resolution), which are every u_1 value the tensor
-        scan visits, so the bound is the same at a cost independent of n.
-        Other shapes scan the tensor grid, at the largest resolution up to
-        ``scan_resolution`` whose resolution^(n-1) nodes stay within
-        SCAN_NODES.
+        Zonal shapes scan their profile on the scan_resolution nodes of
+        zonal_rule(n, scan_resolution), about twice the u_1 values the
+        tensor scan visits, at a cost independent of n. Other shapes scan
+        the tensor grid, at the largest resolution up to ``scan_resolution``
+        whose build_grid nodes stay within SCAN_NODES (capped_resolution).
         """
         if self.profile is not None:
             t, _ = zonal_rule(self.dimension, scan_resolution)

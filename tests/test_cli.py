@@ -49,6 +49,15 @@ def test_nsphere_bad_dimension_is_a_clean_error(runner):
     assert doc["detail"]
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_nsphere_dimension_error_names_the_option(runner, dim):
+    result = invoke(runner, ["nsphere", "--dim", dim])
+    assert result.exit_code == 1
+    doc = payload(result)
+    assert doc["error"] == "DomainError"
+    assert doc["detail"] == f"--dim must be an integer >= 1, got {dim}"
+
+
 def test_nsphere_past_the_gamma_overflow(runner):
     doc = payload(invoke(runner, ["nsphere", "--dim", "400"]))
     assert doc["V"] == pytest.approx(3.4126040259153336e-276, rel=1e-12)
@@ -158,11 +167,12 @@ def test_thickness_node_count_is_the_rule_size(runner, tmp_path):
     assert payload(zonal)["rule"] == "zonal"
     assert payload(zonal)["grid_resolution"]["node_count"] == 64
     path = tmp_path / "shape.json"
-    path.write_text(json.dumps({"n": 3, "resolution": 8, "values": [1.2] * 64}))
+    # a table at resolution 8 holds 5 polar x 8 azimuth values
+    path.write_text(json.dumps({"n": 3, "resolution": 8, "values": [1.2] * 40}))
     tensor = invoke(runner, ["thickness", "--shape", f"file:{path}", "--m", "1",
                              "--resolution", "16"])
     assert payload(tensor)["rule"] == "tensor"
-    assert payload(tensor)["grid_resolution"]["node_count"] == 16 * 16
+    assert payload(tensor)["grid_resolution"]["node_count"] == 9 * 16
 
 
 def test_thickness_zonal_ball_nine_dimensions(runner):
@@ -243,12 +253,24 @@ def test_thickness_file_shape_errors(runner, tmp_path):
     assert "resolution" in doc["detail"]
 
     # "refine" is not a shape-file key: a table refined along the polar axis
-    # holds more values than the file's resolution^(n-1) grid
+    # holds more values than the file's build_grid(3, 8) has nodes
     refined = tmp_path / "refined.json"
     refined.write_text(json.dumps({"n": 3, "resolution": 8, "refine": 2, "values": [1.0] * 128}))
     result = invoke(runner, ["thickness", "--shape", f"file:{refined}", "--m", "1"])
     assert result.exit_code == 1
     assert "values" in payload(result)["detail"]
+
+    # a table in the earlier resolution^(n-1) layout is rejected by a message
+    # that names the layout it needs
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"n": 3, "resolution": 8, "values": [1.0] * 64}))
+    result = invoke(runner, ["thickness", "--shape", f"file:{old}", "--m", "1"])
+    assert result.exit_code == 1
+    assert payload(result) == {
+        "error": "DomainError",
+        "detail": "shape file holds 64 values; a table needs one per node of "
+                  "build_grid(3, 8), 40 in angles() order",
+    }
 
 
 @pytest.mark.parametrize("n,resolution", [(2, 9), (3, 8), (4, 6), (3, 1)])
@@ -373,6 +395,21 @@ def test_stationary_profile_writes_csv_and_sidecar(runner, tmp_path):
     assert z[-1] == pytest.approx(sidecar["z_plus"], rel=1e-15)
 
 
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_stationary_profile_point_count_error_names_the_option(runner, tmp_path, points):
+    out = tmp_path / "x.csv"
+    result = invoke(
+        runner,
+        ["stationary", "profile", "--nm", "2", "--lambda", "1.0", "--ecc", "0.5",
+         "--points", points, "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    doc = payload(result)
+    assert doc["error"] == "DomainError"
+    assert doc["detail"] == f"--points must be an integer >= 2, got {points}"
+    assert not out.exists()
+
+
 def test_stationary_profile_rejects_bad_codimension(runner, tmp_path):
     result = invoke(
         runner,
@@ -441,13 +478,23 @@ def test_verify_sphere_optimality_six_dimensions_at_default_resolution(runner):
     assert len(doc["checks"]) == 2
 
 
+@pytest.mark.parametrize("dim,resolution", [(2, 16), (3, 12), (4, 9), (5, 8)])
+def test_verify_sphere_optimality_node_count_is_the_grid_size(runner, dim, resolution):
+    result = invoke(runner, ["verify", "sphere-optimality", "--n", str(dim), "--trials", "1",
+                             "--resolution", str(resolution)])
+    assert result.exit_code == 0
+    grid = build_grid(dim, resolution)
+    assert payload(result)["grid_resolution"]["node_count"] == grid.node_count
+    assert grid.node_count == grid.nodes()[1].size
+
+
 def test_verify_sphere_optimality_echoes_default_resolution(runner):
     # without --resolution the echo names the resolution the test ran at
     result = invoke(runner, ["verify", "sphere-optimality", "--n", "7", "--trials", "2"])
     assert result.exit_code == 0
     doc = payload(result)
-    assert doc["params_echo"]["resolution"] == 10
-    assert doc["grid_resolution"] == {"n": 7, "resolution": 10, "node_count": 10**6}
+    assert doc["params_echo"]["resolution"] == 17
+    assert doc["grid_resolution"] == {"n": 7, "resolution": 17, "node_count": 9**5 * 17}
 
 
 def test_verify_nullvector_passes(runner):
@@ -632,5 +679,8 @@ def test_integer_options_out_of_range_exit_cleanly(runner, args, tmp_path, monke
 
 @pytest.mark.parametrize("base", RESOLUTION_CAPPED, ids=lambda b: " ".join(_command(b)[1]))
 def test_resolution_over_the_table_cap_is_a_budget_error(runner, base):
-    doc = _run_cleanly(runner, _with_option(base, "--resolution", "4097"))
+    # 1-D rules hold `resolution` nodes and trip at 4097; the polar axes of a
+    # tensor grid hold resolution // 2 + 1 and trip at 8192
+    tensor = _command(base)[1] == ["verify", "sphere-optimality"]
+    doc = _run_cleanly(runner, _with_option(base, "--resolution", "8192" if tensor else "4097"))
     assert doc is not None and doc["error"] == "BudgetError", doc

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import reduce
 
@@ -89,6 +90,32 @@ def test_low_order_moment_integrated_exactly():
             assert val == pytest.approx(unit_sphere_area(n - 1) / n, rel=1e-12)
 
 
+def monomial_integral(alpha):
+    """Integral of u^alpha over the unit sphere (Folland, Amer. Math. Monthly
+    108, 2001): 2 prod Gamma(b_i) / Gamma(sum b_i) with b_i = (alpha_i + 1)/2,
+    and 0 when some alpha_i is odd."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    beta = [(a + 1) / 2.0 for a in alpha]
+    return 2.0 * math.prod(math.gamma(b) for b in beta) / math.gamma(sum(beta))
+
+
+@pytest.mark.parametrize("n,res", [(2, 7), (3, 8), (3, 9), (4, 8), (5, 6), (6, 5), (6, 6)])
+def test_grid_is_exact_to_degree_resolution_minus_one(n, res):
+    u, w = build_grid(n, res).nodes()
+    worst = {}
+    for degree in range(res + 1):
+        for idx in itertools.combinations_with_replacement(range(n), degree):
+            alpha = np.bincount(np.array(idx, dtype=int), minlength=n)
+            value = float(np.dot(np.prod(u[:, idx], axis=1), w))
+            err = abs(value - monomial_integral(alpha))
+            worst[degree] = max(worst.get(degree, 0.0), err)
+    # every monomial of degree <= res - 1 is integrated exactly ...
+    assert max(worst[d] for d in range(res)) <= 1e-13
+    # ... and some monomial of degree res is not
+    assert worst[res] > 1e-3
+
+
 def reference_nodes(grid):
     """Unit vectors from the angle chart and weights as an outer product of
     the axis weights, both in C order: a reference built apart from iter_blocks."""
@@ -98,12 +125,14 @@ def reference_nodes(grid):
 
 
 def test_blocks_cover_grid_exactly(monkeypatch):
-    grid = build_grid(4, 10)
+    grid = build_grid(4, 18)  # 10 x 10 x 18 nodes
     u, w = reference_nodes(grid)
+    assert u.shape == (1800, 4) and w.shape == (1800,)
     monkeypatch.setattr(geometry, "DEFAULT_BLOCK", 97)
     got_u, got_w = [], []
     for block_u, block_w in grid.iter_blocks():
-        assert block_u.shape[0] == block_w.shape[0] <= 97 * 10  # tail axis kept whole
+        # 18 * 10 > 97: each block is the azimuth alone, kept whole
+        assert block_u.shape[0] == block_w.shape[0] == 18
         got_u.append(block_u.copy())
         got_w.append(block_w.copy())
     # blocks scale precomputed sub-chart vectors, so the last bit may differ
@@ -127,7 +156,9 @@ def test_nodes_match_the_reference(n, res):
     ref_u, ref_w = reference_nodes(grid)
     # one block runs the same products in the same order as the reference
     assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
-    assert u.shape == (res ** (n - 1), n) and w.shape == (res ** (n - 1),)
+    # res // 2 + 1 nodes on each polar axis, res on the azimuth
+    size = (res // 2 + 1) ** (n - 2) * res
+    assert grid.node_count == size and u.shape == (size, n) and w.shape == (size,)
 
 
 @pytest.mark.parametrize("n,res,block", [(3, 24, 24), (4, 10, 10), (4, 10, 100), (5, 8, 64), (6, 6, 97)])
@@ -155,7 +186,8 @@ def test_nodes_and_sphere_optimality_do_not_depend_on_block_size(monkeypatch, n,
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_zonal_rule_folds_the_tensor_grid(n):
-    grid = build_grid(n, 18)
+    # the first polar axis of a grid at resolution 2R - 2 has R nodes
+    grid = build_grid(n, 34)
     t, w = zonal_rule(n, 18)
     assert t.shape == w.shape == (18,)
     # the nodes are exactly the u_1 values the blocks carry
@@ -168,10 +200,12 @@ def test_zonal_rule_folds_the_tensor_grid(n):
 
 
 def test_polar_rule_is_the_grid_axis():
-    grid = build_grid(5, 7)
+    # resolution 2R - 2 puts R nodes on each polar axis
+    grid = build_grid(5, 12)
     for i, (nodes, weights) in enumerate(grid.axes[:-1], start=1):
         ref_nodes, ref_weights = polar_rule(7, 5 - 1 - i)
         assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    assert grid.axes[-1][0].size == 12
 
 
 def test_legendre_angles_are_cached_and_read_only():
@@ -197,13 +231,13 @@ def test_polar_rule_is_cached_and_read_only():
 
 
 def test_budget_limits():
-    grid = build_grid(8, 48)  # per-axis tables only; the tensor product is 48^7
+    grid = build_grid(8, 48)  # per-axis tables only; the tensor product is 25^6 * 48
     with pytest.raises(BudgetError):
         next(grid.iter_blocks())
     # per-axis guard, raised before any table is built: polar nodes at most
     # sqrt(DEFAULT_NODE_BUDGET) = 16384, azimuth nodes at most the budget
     with pytest.raises(BudgetError):
-        build_grid(7, 3277)  # 5 polar axes of 3277 nodes: 16385
+        build_grid(7, 6552)  # 5 polar axes of 3277 nodes: 16385
     with pytest.raises(BudgetError):
         build_grid(2, geometry.DEFAULT_NODE_BUDGET + 1)
     # each polar table is a dense Jacobi eigenproblem, capped at 2^24 entries
@@ -211,13 +245,13 @@ def test_budget_limits():
     with pytest.raises(BudgetError):
         polar_rule(4097, 1)
     with pytest.raises(BudgetError):
-        build_grid(3, 4097)
-    build_grid(2, 4097)
+        build_grid(3, 8192)  # 4097 polar nodes
+    build_grid(2, 8192)
     # so is the Legendre rule, whose leggauss builds a dense companion matrix
     with pytest.raises(BudgetError):
         legendre_angles(4097)
     # materialized arrays hold at most MATERIALIZE_LIMIT = 2^24 nodes
-    grid = build_grid(4, 257)  # 257^3 = 16974593 nodes
+    grid = build_grid(4, 406)  # 204^2 * 406 = 16896096 nodes
     with pytest.raises(BudgetError):
         grid.nodes()
     with pytest.raises(BudgetError):
