@@ -171,20 +171,22 @@ def nullvector_recover(sample: DeformationSample) -> tuple[float, np.ndarray, fl
 
 def _random_direction_polynomial(rng, u: np.ndarray) -> np.ndarray:
     """Node values of a random polynomial (POLYNOMIAL_TERMS monomials of
-    degree <= 4) in direction cosines, scaled to unit max magnitude."""
+    degree 1 to 4) in the direction cosines, divided by the sum of its
+    coefficients' magnitudes. Since |u_i| <= 1 that bounds it by 1 on the
+    whole sphere, with no reference to the nodes, so every resolution
+    perturbs the same shape."""
     b, n = u.shape
-    while True:
-        p = np.zeros(b)
-        for _ in range(POLYNOMIAL_TERMS):
-            deg = int(rng.integers(1, 5))
-            idx = rng.integers(0, n, size=deg)
-            term = rng.standard_normal() * np.ones(b)
-            for i in idx:
-                term = term * u[:, i]
-            p += term
-        top = float(np.abs(p).max())
-        if top > 1e-9:
-            return p / top
+    p, total = np.zeros(b), 0.0
+    for _ in range(POLYNOMIAL_TERMS):
+        deg = int(rng.integers(1, 5))
+        idx = rng.integers(0, n, size=deg)
+        coef = rng.standard_normal()
+        total += abs(coef)
+        term = np.full(b, coef)
+        for i in idx:
+            term = term * u[:, i]
+        p += term
+    return p / total
 
 
 def _project_constraints(f, u, w, n, v_target):

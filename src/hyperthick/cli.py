@@ -32,9 +32,10 @@ from .analysis import (
     stationary_shape,
 )
 from .errors import DomainError, HyperthickError, RankError, check_int, check_seed
-from .geometry import build_grid, cartesian_to_spherical
+from .geometry import build_grid, cartesian_to_spherical, zonal_rule
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .properties import (
+    DEFAULT_RESOLUTION,
     body_properties,
     closed_form,
     linear_identity_residual,
@@ -293,14 +294,16 @@ def thickness(cfg, spec, m, dim, mc, samples, seed, resolution):
     else:
         resolution = _pick(resolution, cfg, "resolution", 64)
         echo["resolution"] = resolution
-        grid = build_grid(shape.dimension, resolution)
         zonal = shape.profile is not None
-        # the nodes the rule integrates: the zonal rule's, or the whole grid
-        nodes = grid.resolution if zonal else grid.node_count
+        # the nodes the rule integrates: the zonal rule's, sized before the
+        # grid so that an over-cap resolution fails before any grid table
+        nodes = zonal_rule(shape.dimension, resolution)[0].size if zonal else None
+        grid = build_grid(shape.dimension, resolution)
         _emit(
             {"T": average_thickness(shape, m, grid), "rule": "zonal" if zonal else "tensor"},
             echo,
-            grid={"n": grid.dimension, "resolution": grid.resolution, "node_count": nodes},
+            grid={"n": grid.dimension, "resolution": grid.resolution,
+                  "node_count": nodes or grid.node_count},
         )
 
 
@@ -340,6 +343,13 @@ def profile(codim, lam, ecc, points, out_path):
     click.echo(json.dumps(doc))
 
 
+def _identity_residual(result, params: StationaryParams) -> float:
+    """linear_identity_residual relative to its leading term (S_{n-1}/V_m) T,
+    which keeps its scale at every n."""
+    lead = unit_sphere_area(params.n - 1) / unit_ball_volume(params.m) * result.thickness
+    return float(linear_identity_residual(result, params) / lead)
+
+
 @stationary.command()
 @click.option("--n", "dim", type=int, required=True)
 @click.option("--m", type=int, required=True)
@@ -352,7 +362,7 @@ def profile(codim, lam, ecc, points, out_path):
 def props(cfg, dim, m, lam, ecc, use_closed, resolution):
     """Volume, axial moment, and thickness of a stationary shape."""
     params = StationaryParams(n=dim, m=m, lam=lam, ecc=ecc)
-    resolution = _pick(resolution, cfg, "resolution", 256)
+    resolution = _pick(resolution, cfg, "resolution", DEFAULT_RESOLUTION)
     if use_closed:
         result = closed_form(params)
         if result is None:
@@ -369,7 +379,7 @@ def props(cfg, dim, m, lam, ecc, use_closed, resolution):
         "M": result.moment,
         "T": result.thickness,
         "T_via_identity": thickness_via_identity(params, result.volume, result.moment),
-        "identity_residual": linear_identity_residual(result, params),
+        "identity_residual": _identity_residual(result, params),
         "method": method,
     }
     echo = {
@@ -380,7 +390,10 @@ def props(cfg, dim, m, lam, ecc, use_closed, resolution):
         "closed_form": use_closed,
         "resolution": resolution,
     }
-    meta = None if use_closed else {"n": dim, "resolution": resolution, "node_count": resolution}
+    meta = None
+    if not use_closed:
+        nodes = zonal_rule(dim, resolution)[0].size
+        meta = {"n": dim, "resolution": resolution, "node_count": nodes}
     _emit(payload, echo, grid=meta)
 
 
@@ -448,16 +461,14 @@ IDENTITY_CASES = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (6, 2)]
 @_handle_errors
 def verify_identity(cfg, resolution, tolerance):
     """Linear relation among T, V, M across a (n, m, ecc, lambda) sweep."""
-    resolution = _pick(resolution, cfg, "resolution", 256)
+    resolution = _pick(resolution, cfg, "resolution", DEFAULT_RESOLUTION)
     tolerance = _pick(tolerance, cfg, "tolerance", 1e-7)
     checks = []
     for dim, m in IDENTITY_CASES:
         for ecc in (0.0, 0.5, 1.0):
             for lam in (0.5, 1.0, 2.0):
                 params = StationaryParams(n=dim, m=m, lam=lam, ecc=ecc)
-                result = body_properties(params, resolution)
-                scale = unit_sphere_area(dim - 1) / unit_ball_volume(m) * result.thickness
-                rel = float(abs(linear_identity_residual(result, params)) / scale)
+                rel = abs(_identity_residual(body_properties(params, resolution), params))
                 checks.append(
                     {
                         "name": f"n{dim}-m{m}-e{ecc}-lam{lam}",
@@ -467,7 +478,9 @@ def verify_identity(cfg, resolution, tolerance):
                     }
                 )
     echo = {"resolution": resolution, "tolerance": tolerance}
-    _finish_verify(checks, echo, grid={"n": None, "resolution": resolution, "node_count": resolution})
+    # the largest zonal rule of the sweep
+    nodes = max(zonal_rule(dim, resolution)[0].size for dim, _ in IDENTITY_CASES)
+    _finish_verify(checks, echo, grid={"n": None, "resolution": resolution, "node_count": nodes})
 
 
 NULLVECTOR_CASES = [

@@ -25,16 +25,17 @@ dense enumeration happens in blocks of unit direction vectors, so large
 grids never materialize all at once (DirectionGrid.nodes() gathers them
 when a caller needs every node), and the node budget applies there.
 Integrands that depend on u_1 alone (zonal ones) are 1-D integrals in
-t = u_1: zonal_rule(n, resolution) is the polar rule for the density
-sin^(n-2) times the area of the (n-2)-sphere the other coordinates sweep,
-so it has resolution nodes whatever n is and needs no grid: about twice the
-first polar axis of build_grid(n, resolution), since one axis alone is not
-limited by the azimuth. Angles are the chart that builds grids and lays out
-shape tables; everything that evaluates a radius works on the unit vectors.
+theta = arccos u_1, all taken on zonal_rule(n, resolution): Gauss-Legendre
+in theta, with max(resolution, n) + 16 nodes of its own and no grid. It
+stays spectral at the cusp of a critical stationary shape, whose radius is
+analytic in sin(theta/2) but not in u_1; the grid's Gauss-Jacobi nodes in
+u_1 do not, so a rotated cusped shape converges only algebraically. Angles
+are the chart that builds grids and lays out shape tables; everything that
+evaluates a radius works on the unit vectors.
 
-legendre_angles is the Gauss-Legendre rule on [0, pi] shared by the
-meridian quadrature of stationary shapes and the axis-aligned section rule;
-it is built on first use per node count and cached as read-only arrays.
+legendre_angles is the Gauss-Legendre rule on [0, pi] shared by zonal_rule
+and the axis-aligned section rule; it is built on first use per node count
+and cached as read-only arrays.
 """
 
 from __future__ import annotations
@@ -326,6 +327,25 @@ def polar_rule(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     return _polar_table(check_int(count, "node count", 1), check_int(power, "density power", 1))
 
 
+def _weight_scale(weights: np.ndarray, total: float, what: str) -> float:
+    """The factor that takes ``weights`` to their exact sum ``total``.
+
+    A rule whose raw sum misses the total by 1e-12 (relative) is broken and
+    raises ConvergenceError; the rounding left in one that meets it is
+    scaled away, so the rule integrates its density exactly.
+    """
+    raw = float(weights.sum())
+    if not abs(raw / total - 1.0) < 1e-12:
+        raise ConvergenceError(f"{what} sum to {raw!r}, not {total!r}")
+    return total / raw
+
+
+def _read_only(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 @lru_cache(maxsize=64)
 def _polar_table(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
     # the Jacobi matrix is dense: about count^3 flops and count^2 floats
@@ -336,34 +356,38 @@ def _polar_table(count: int, power: int) -> tuple[np.ndarray, np.ndarray]:
             f"over the limit of {MATERIALIZE_LIMIT} entries"
         )
     t, w = _gauss_jacobi(count, power)
-    # the weights must sum to the integral of sin^power over [0, pi],
-    # S_{power+1} / S_power; a rule that misses it is broken, and the
-    # rounding left in a sum that meets it is scaled away
-    total, raw = unit_sphere_area(power + 1) / unit_sphere_area(power), float(w.sum())
-    if not abs(raw / total - 1.0) < 1e-12:
-        raise ConvergenceError(
-            f"polar weights of {count} nodes for sin^{power} sum to {raw!r}, not {total!r}"
-        )
+    # the integral of sin^power over [0, pi] is S_{power+1} / S_power
+    total = unit_sphere_area(power + 1) / unit_sphere_area(power)
+    scale = _weight_scale(w, total, f"polar weights of {count} nodes for sin^{power}")
     # ascending polar angle; arccos reverses the node order
-    angles, weights = np.arccos(t)[::-1].copy(), w[::-1] * (total / raw)
-    angles.flags.writeable = False
-    weights.flags.writeable = False
-    return angles, weights
+    return _read_only(np.arccos(t)[::-1].copy(), w[::-1] * scale)
 
 
 def zonal_rule(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """1-D rule (t, weights) over the sphere in R^n, n >= 3, for integrands
+    """1-D rule (t, weights) over the sphere in R^n, n >= 2, for integrands
     that depend on t = u_1 only.
 
-    The nodes are the cosines of polar_rule(resolution, n - 2), exact to
-    degree 2 resolution - 1 in t: the u_1 values the first polar axis of
-    build_grid(n, 2 resolution - 2) carries, and about twice those of
-    build_grid(n, resolution). The weights are that rule's weights times
-    the area S_{n-2} of the sphere the other coordinates sweep, so they sum
-    to S_{n-1}.
+    Gauss-Legendre in theta = arccos t on legendre_angles(max(resolution,
+    n) + 16), with weights w sin^(n-2)(theta) S_{n-2} (the sphere the other
+    coordinates sweep) checked against and scaled to S_{n-1}, as polar_rule
+    does. In theta it stays spectral on profiles analytic in sin(theta/2)
+    but not in t, such as a critical stationary cusp. The 16 extra nodes
+    resolve the trigonometric degree resolution + n - 3 of a Gauss-Jacobi
+    rule of resolution nodes in t; max(resolution, n) lets every
+    n <= resolution share one Legendre rule. Cached read-only per
+    (n, resolution).
     """
-    angles, weights = polar_rule(resolution, n - 2)
-    return np.cos(angles), weights * unit_sphere_area(n - 2)
+    # validated before the cache lookup, which would fail on a list
+    return _zonal_table(check_int(n, "dimension n", 2), check_int(resolution, "resolution", 1))
+
+
+@lru_cache(maxsize=64)
+def _zonal_table(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    theta, w = legendre_angles(max(resolution, n) + 16)
+    w = w * np.sin(theta) ** (n - 2) * unit_sphere_area(n - 2)
+    what = f"zonal weights of {theta.size} nodes in R^{n}"
+    scale = _weight_scale(w, unit_sphere_area(n - 1), what)
+    return _read_only(np.cos(theta), w * scale)
 
 
 @lru_cache(maxsize=16)
@@ -381,11 +405,7 @@ def legendre_angles(count: int) -> tuple[np.ndarray, np.ndarray]:
             f"over the limit of {MATERIALIZE_LIMIT} entries"
         )
     x, w = leggauss(count)
-    nodes = (x + 1.0) * (math.pi / 2.0)
-    weights = w * (math.pi / 2.0)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return _read_only((x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0))
 
 
 def _polar_count(resolution: int) -> int:

@@ -1,17 +1,13 @@
 """Volume, axial moment, and thickness of stationary shapes.
 
-Quadrature route: the meridian R(z) is integrated in hyper-cylindrical
-coordinates, V = V_{n-1} integral R^{n-1} dz and M the same with a z factor.
-The thickness integral of r^m sin^(n-2)(theta) over the polar angle is taken
-on the same z nodes, where everything is explicit and no root is needed:
-r = (lambda + mu z)^(-1/k), sin(theta) = R/r and cos(theta) = z/r, so the
-integral becomes one of r^m sin^(n-3)(theta) d(cos theta)/dz over z. Only
-n = 2 (where k = 1 and the radius is closed form) keeps the polar-angle
-route, because its sin^(-1)(theta) factor is singular on the axis. All
-routes share one Gauss-Legendre rule per resolution (legendre_angles),
-cached after its first use. Closed forms exist for a handful of parameter
-families and are kept here as an independent cross-check; quadrature and
-closed forms must agree wherever both apply.
+Quadrature route: a stationary shape is axisymmetric, so V, M and T are
+1-D integrals of its boundary radius r(t), t = cos(theta), on
+geometry.zonal_rule, the one rule behind every zonal integral: Gauss-Legendre
+in theta, which stays spectral at the critical cusp, where r is analytic in
+sin(theta/2) but not in t. The radii come from the stationary solver
+(radial_profile's core), once per node. Closed forms exist for a handful of
+parameter families and are kept here as an independent cross-check;
+quadrature and closed forms must agree wherever both apply.
 
 The three quantities of one stationary shape are linearly dependent:
 multiplying the stationary equation by r and integrating over the sphere
@@ -29,16 +25,9 @@ import math
 import numpy as np
 
 from .errors import UnboundedRegionError, check_int
-from .geometry import legendre_angles
+from .geometry import zonal_rule
 from .nsphere import unit_ball_volume, unit_sphere_area
-from .stationary import (
-    ShapeClass,
-    StationaryParams,
-    critical_support,
-    cylindrical_radius,
-    radial_profile,
-    support_interval,
-)
+from .stationary import ShapeClass, StationaryParams, _radial_from_cos, critical_support
 from .thickness import BodyProperties
 
 __all__ = [
@@ -51,43 +40,24 @@ __all__ = [
 DEFAULT_RESOLUTION = 256
 
 
-def body_properties(params: StationaryParams, resolution: int = DEFAULT_RESOLUTION) -> BodyProperties:
+def body_properties(
+    params: StationaryParams, resolution: int = DEFAULT_RESOLUTION
+) -> BodyProperties:
     """V, M, T of a closed stationary shape by quadrature, in one pass.
 
-    All three use Gauss-Legendre after the substitution
-    z = z_- + (dz/2)(1 - cos s), which flattens the square-root behaviour of
-    R at both axis crossings. T integrates r^m sin^(n-3)(theta) against
-    d(cos theta)/dz = (lambda + mu z)^(1/k) + (mu z / k)(lambda + mu z)^(1/k - 1)
-    on those nodes. For n = 2 it uses Gauss-Legendre directly in the polar
-    angle instead, where the boundary radius stays one-sidedly analytic even
-    at the critical cusp.
+    V, M and T are the integrals of r^n / n, r^(n+1) t / (n+1) and
+    (V_m / S_{n-1}) r^m over the sphere, three dot products of the boundary
+    radii on zonal_rule(n, resolution).
     """
     resolution = check_int(resolution, "resolution", 2)
     if params.shape_class is ShapeClass.OPEN:
         raise UnboundedRegionError("open shapes have no finite volume")
-    n, m, k = params.n, params.m, params.k
-    z_minus, z_plus = support_interval(params)
-    s, ws = legendre_angles(resolution)
-
-    half = 0.5 * (z_plus - z_minus)
-    z = z_minus + half * (1.0 - np.cos(s))
-    dz = half * np.sin(s) * ws
-    rc = cylindrical_radius(params, z)
-    r_pow = rc ** (n - 1)
-    v_slab = unit_ball_volume(n - 1)
-    vol = v_slab * float(np.dot(r_pow, dz))
-    mom = v_slab * float(np.dot(r_pow * z, dz))
-
-    if n == 2:
-        ray = unit_sphere_area(0) * float(np.dot(radial_profile(params, s) ** m, ws))
-    else:
-        u = params.lam + params.mu * z
-        root = u ** (1.0 / k)  # 1/r
-        dcos = root + (params.mu * z / k) * (root / u)
-        ray = unit_sphere_area(n - 2) * float(
-            np.dot(root ** -m * (rc * root) ** (n - 3) * dcos, dz)
-        )
-    thick = unit_ball_volume(m) / unit_sphere_area(n - 1) * ray
+    n, m = params.n, params.m
+    t, w = zonal_rule(n, resolution)
+    r = _radial_from_cos(params, t)
+    vol = float(np.dot(r**n, w)) / n
+    mom = float(np.dot(r ** (n + 1) * t, w)) / (n + 1)
+    thick = unit_ball_volume(m) / unit_sphere_area(n - 1) * float(np.dot(r**m, w))
     return BodyProperties(volume=vol, moment=mom, thickness=thick)
 
 

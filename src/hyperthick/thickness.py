@@ -16,10 +16,12 @@ blocks.
 Axisymmetric (zonal) shapes, whose radius depends on t = u_1 alone, carry
 their profile g(t): balls, cosine series for n >= 3, stationary shapes, and
 scaled copies of these. For them T, V and the moment are 1-D integrals in t,
-taken with zonal_rule(n, grid.resolution), whose grid.resolution nodes in
-u_1 are about twice those of the grid's first polar axis, at a cost that
-does not grow with n. Rotating a zonal shape off the axis loses the profile
-and falls back to the tensor grid.
+taken with zonal_rule(n, grid.resolution): Gauss-Legendre in theta =
+arccos t, with max(grid.resolution, n) + 16 nodes whatever the grid holds,
+which stays spectral at the cusp of a critical stationary shape. Rotating a
+zonal shape off the axis loses the profile and falls back to the tensor
+grid, whose Gauss-Jacobi nodes in the direction cosines converge only
+algebraically at such a cusp.
 
 For bodies given only by an indicator function the same thickness is
 estimated by Monte Carlo straight from the radial form: a uniform direction u
@@ -250,11 +252,11 @@ class StarShape:
     def bounding_radius(self, scan_resolution: int = 64) -> float:
         """Upper bound on the radial function: a grid scan padded by BOUNDING_PAD.
 
-        Zonal shapes scan their profile on the scan_resolution nodes of
-        zonal_rule(n, scan_resolution), about twice the u_1 values the
-        tensor scan visits, at a cost independent of n. Other shapes scan
-        the tensor grid, at the largest resolution up to ``scan_resolution``
-        whose build_grid nodes stay within SCAN_NODES (capped_resolution).
+        Zonal shapes scan their profile on the max(scan_resolution, n) + 16
+        t nodes of zonal_rule(n, scan_resolution), at a cost independent of
+        n. Other shapes scan the tensor grid, at the largest resolution up
+        to ``scan_resolution`` whose build_grid nodes stay within SCAN_NODES
+        (capped_resolution).
         """
         if self.profile is not None:
             t, _ = zonal_rule(self.dimension, scan_resolution)

@@ -195,6 +195,17 @@ def test_optimality_deltas_scale_quadratically():
     assert 3.5 < ratio < 4.5
 
 
+@pytest.mark.parametrize("n,m", [(4, 2), (5, 3)])
+def test_optimality_perturbation_does_not_depend_on_the_grid(n, m):
+    # the polynomial is normalised by its coefficients, not by its node
+    # values, so two resolutions perturb the same shape and agree on deltaT
+    # to their quadrature error (normalised on the nodes they differed by 3e-5)
+    coarse = sphere_optimality_test(n, m, trials=3, amplitude=0.05, seed=0, resolution=16)
+    fine = sphere_optimality_test(n, m, trials=3, amplitude=0.05, seed=0, resolution=24)
+    for (_, a), (_, b) in zip(coarse, fine):
+        assert abs(a - b) <= 1e-8
+
+
 def test_optimality_zero_amplitude_is_flat():
     for _, dt in sphere_optimality_test(3, 1, trials=3, amplitude=0.0, seed=0):
         assert dt == pytest.approx(0.0, abs=1e-12)

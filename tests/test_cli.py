@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hyperthick import __version__, build_grid
+from hyperthick import (
+    BodyProperties,
+    StationaryParams,
+    __version__,
+    build_grid,
+    linear_identity_residual,
+    unit_ball_volume,
+    unit_sphere_area,
+)
+from hyperthick import cli
 from hyperthick.cli import main
 
 
@@ -161,11 +170,11 @@ def test_thickness_reports_quadrature_rule(runner, tmp_path):
 
 
 def test_thickness_node_count_is_the_rule_size(runner, tmp_path):
-    # a zonal rule integrates the first polar axis only; a tensor rule all nodes
+    # a zonal rule holds max(R, n) + 16 nodes in theta; a tensor rule all nodes
     zonal = invoke(runner, ["thickness", "--shape", "ball:1.5", "--n", "3", "--m", "1",
                             "--resolution", "64"])
     assert payload(zonal)["rule"] == "zonal"
-    assert payload(zonal)["grid_resolution"]["node_count"] == 64
+    assert payload(zonal)["grid_resolution"]["node_count"] == 80
     path = tmp_path / "shape.json"
     # a table at resolution 8 holds 5 polar x 8 azimuth values
     path.write_text(json.dumps({"n": 3, "resolution": 8, "values": [1.2] * 40}))
@@ -183,8 +192,19 @@ def test_thickness_zonal_ball_nine_dimensions(runner):
     assert result.exit_code == 0, result.output
     doc = payload(result)
     assert doc["rule"] == "zonal"
-    assert doc["grid_resolution"]["node_count"] == 16
+    assert doc["grid_resolution"]["node_count"] == 32
     assert abs(doc["T"] - math.pi) <= 1e-14 * math.pi
+
+
+def test_thickness_zonal_over_the_cap_fails_before_the_grid(runner, monkeypatch):
+    # the zonal rule is sized first, so an over-cap resolution builds no grid table
+    calls = []
+    monkeypatch.setattr(cli, "build_grid", lambda *args: calls.append(args))
+    result = invoke(runner, ["thickness", "--shape", "ball:1", "--n", "3", "--m", "1",
+                             "--resolution", "4097"])
+    assert result.exit_code == 1
+    assert payload(result)["error"] == "BudgetError"
+    assert calls == []
 
 
 def test_thickness_harmonic_two_dimensional(runner):
@@ -337,9 +357,22 @@ def test_stationary_props_routes_agree(runner):
     for key in ("V", "M", "T"):
         assert quad[key] == pytest.approx(closed[key], rel=1e-9)
     assert quad["T_via_identity"] == pytest.approx(quad["T"], rel=1e-9)
-    assert abs(quad["identity_residual"]) < 1e-9 * quad["T"]
+    # relative to (S_{n-1}/V_m) T
+    assert abs(quad["identity_residual"]) < 1e-14
+    assert quad["grid_resolution"]["node_count"] == 272
     assert quad["params"]["class"] == "egg"
     assert quad["params"]["mu"] < 0.0
+
+
+def test_stationary_props_identity_residual_is_relative(runner):
+    # in absolute units the residual at n = 40 reads 3e-23, whatever its accuracy
+    args = ["stationary", "props", "--n", "40", "--m", "20", "--lambda", "1.0", "--ecc", "0.5"]
+    doc = payload(invoke(runner, args))
+    params = StationaryParams(n=40, m=20, lam=1.0, ecc=0.5)
+    absolute = linear_identity_residual(BodyProperties(doc["V"], doc["M"], doc["T"]), params)
+    lead = unit_sphere_area(39) / unit_ball_volume(20) * doc["T"]
+    assert doc["identity_residual"] == pytest.approx(absolute / lead, rel=1e-12, abs=0.0)
+    assert abs(doc["identity_residual"]) < 1e-14
 
 
 def test_stationary_props_open_shape_fails_cleanly(runner):

@@ -185,18 +185,21 @@ def test_nodes_and_sphere_optimality_do_not_depend_on_block_size(monkeypatch, n,
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_zonal_rule_folds_the_tensor_grid(n):
-    # the first polar axis of a grid at resolution 2R - 2 has R nodes
-    grid = build_grid(n, 34)
+def test_zonal_rule_is_theta_legendre(n):
     t, w = zonal_rule(n, 18)
-    assert t.shape == w.shape == (18,)
-    # the nodes are exactly the u_1 values the blocks carry
-    u1 = np.unique(np.concatenate([u[:, 0].copy() for u, _ in grid.iter_blocks()]))
-    assert np.array_equal(np.sort(t), u1)
-    assert w.sum() == pytest.approx(unit_sphere_area(n - 1), rel=1e-14)
+    # its own node count: max(R, n) + 16 Legendre nodes in theta
+    assert t.shape == w.shape == (18 + 16,)
+    assert zonal_rule(n, 2)[0].size == n + 16
+    assert abs(w.sum() / unit_sphere_area(n - 1) - 1.0) <= 1e-15
+    # Gauss-Jacobi in t stays the reference for a smooth integrand
+    angles, weights = polar_rule(18, n - 2)
     f = lambda x: np.exp(0.3 * x) + x**3
-    tensor = sum(float(np.dot(f(u[:, 0]), wb)) for u, wb in grid.iter_blocks())
-    assert float(np.dot(f(t), w)) == pytest.approx(tensor, rel=1e-14)
+    jacobi = unit_sphere_area(n - 2) * float(np.dot(f(np.cos(angles)), weights))
+    assert float(np.dot(f(t), w)) == pytest.approx(jacobi, rel=1e-14)
+    # cached and read-only per (n, resolution)
+    assert zonal_rule(n, 18)[0] is t
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_polar_rule_is_the_grid_axis():

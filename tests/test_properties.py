@@ -8,13 +8,15 @@ from hyperthick import (
     StationaryParams,
     body_properties,
     closed_form,
+    cylindrical_radius,
     linear_identity_residual,
-    radial_profile,
+    support_interval,
     thickness_via_identity,
     unit_ball_volume,
     unit_sphere_area,
 )
 from hyperthick.errors import DomainError, UnboundedRegionError
+from hyperthick.geometry import legendre_angles
 
 # Frozen 40-digit-arithmetic oracle values for the cusped shapes at lam = 1,
 # computed once from the defining integrals with an independent
@@ -187,15 +189,31 @@ def test_resolution_validation():
             body_properties(p, bad)
 
 
-def theta_route_thickness(params, resolution):
-    """T by Gauss-Legendre in the polar angle on the solved boundary radius,
-    the route body_properties used before it went root-free."""
-    n, m = params.n, params.m
-    x, w = np.polynomial.legendre.leggauss(resolution)
-    theta = (x + 1.0) * (math.pi / 2.0)
-    f = radial_profile(params, theta)
-    ray = np.dot(f**m * np.sin(theta) ** (n - 2), w * (math.pi / 2.0))
-    return unit_ball_volume(m) / unit_sphere_area(n - 1) * unit_sphere_area(n - 2) * ray
+def z_route(params, resolution):
+    """V, M, T by Gauss-Legendre in the axial coordinate z, the route
+    body_properties took before it moved to the zonal rule in theta.
+
+    The substitution z = z_- + (dz/2)(1 - cos s) flattens the square-root
+    behaviour of the meridian R(z) at both axis crossings. V and M are
+    V_{n-1} times the integrals of R^(n-1) and R^(n-1) z; T integrates
+    r^m sin^(n-3)(theta) against d(cos theta)/dz, all explicit in z with
+    r = (lambda + mu z)^(-1/k). Valid for n >= 3.
+    """
+    n, m, k = params.n, params.m, params.k
+    z_minus, z_plus = support_interval(params)
+    s, ws = legendre_angles(resolution)
+    half = 0.5 * (z_plus - z_minus)
+    z = z_minus + half * (1.0 - np.cos(s))
+    dz = half * np.sin(s) * ws
+    rc = cylindrical_radius(params, z)
+    r_pow = rc ** (n - 1)
+    vol = unit_ball_volume(n - 1) * float(np.dot(r_pow, dz))
+    mom = unit_ball_volume(n - 1) * float(np.dot(r_pow * z, dz))
+    u = params.lam + params.mu * z
+    root = u ** (1.0 / k)  # 1/r
+    dcos = root + (params.mu * z / k) * (root / u)
+    ray = unit_sphere_area(n - 2) * float(np.dot(root**-m * (rc * root) ** (n - 3) * dcos, dz))
+    return BodyProperties(vol, mom, unit_ball_volume(m) / unit_sphere_area(n - 1) * ray)
 
 
 @pytest.mark.parametrize(
@@ -209,6 +227,8 @@ def theta_route_thickness(params, resolution):
 )
 def test_z_route_thickness_matches_theta_route(n, m, ecc):
     p = StationaryParams(n=n, m=m, lam=1.3, ecc=ecc)
-    assert body_properties(p, 256).thickness == pytest.approx(
-        theta_route_thickness(p, 256), rel=1e-13
-    )
+    got, oracle = body_properties(p), z_route(p, 256)
+    assert got.volume == pytest.approx(oracle.volume, rel=1e-13)
+    # the moment relative to V times the body's length scale: the sphere's is 0
+    assert abs(got.moment - oracle.moment) <= 1e-13 * oracle.volume ** (1.0 + 1.0 / n)
+    assert got.thickness == pytest.approx(oracle.thickness, rel=1e-13)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperthick import (
+    DumbbellConfig,
     IndicatorBody,
     StarShape,
     average_thickness,
@@ -14,6 +15,8 @@ from hyperthick import (
     body_properties,
     build_grid,
     centroid,
+    closed_form,
+    dumbbell_thickness,
     moment_vector,
     stationary_shape,
     StationaryParams,
@@ -25,7 +28,7 @@ from hyperthick import (
 )
 from hyperthick.cli import parse_shape
 from hyperthick.errors import BudgetError, DomainError, InsufficientSamplingError
-from hyperthick.geometry import polar_rule
+from hyperthick.geometry import zonal_rule
 from hyperthick.thickness import _axial_cosines
 
 
@@ -281,6 +284,55 @@ def _file_shape(tmp_path):
     return parse_shape(f"file:{path}", None)
 
 
+def ball_bound(m, n, v):
+    """T_ball(V) = V_m (V / V_n)^(m/n), the thickness of the ball of volume V
+    about the origin."""
+    return unit_ball_volume(m) * (v / unit_ball_volume(n)) ** (m / n)
+
+
+def test_thickness_never_exceeds_the_ball_of_equal_volume(tmp_path):
+    # T = (m V_m / S_{n-1}) times the integral over the body of |x|^(m-n), a
+    # weight that falls with |x|, so among all bodies of volume V the ball
+    # about the origin has the largest T (the bathtub principle)
+    for n in range(2, 7):
+        grid = build_grid(n, 16)
+        for ball in (StarShape.ball(n, 1.3), StarShape(n, lambda u: np.full(len(u), 1.3))):
+            v = volume(ball, grid)
+            for m in range(1, n):
+                assert average_thickness(ball, m, grid) == pytest.approx(
+                    ball_bound(m, n, v), rel=1e-14
+                )
+    # the (3, 2) eggs and critical shapes, at the ratios T / T_ball(V) measured
+    # when the bound was first checked
+    ratios = {(3, 2, 0.5): 0.994, (3, 2, 0.9): 0.974, (3, 2, 1.0): 0.957,
+              (3, 1, 1.0): 0.976, (4, 1, 1.0): 0.984, (6, 3, 1.0): 0.971}
+    for (n, m, ecc), ratio in ratios.items():
+        props = body_properties(StationaryParams(n=n, m=m, lam=1.0, ecc=ecc))
+        assert props.thickness / ball_bound(m, n, props.volume) == pytest.approx(ratio, abs=5e-4)
+    # series, rotated shapes and a file: table, by quadrature and by Monte Carlo
+    shapes = [
+        StarShape.cosine_series(3, [1.0, 0.25, -0.1]),
+        StarShape.cosine_series(2, [1.0, 0.2], [0.1, -0.05]),
+        StarShape.cosine_series(4, [1.0, 0.3, 0.1]).rotated(rotation(4, 2)),
+        stationary_shape(StationaryParams(n=4, m=2, lam=1.0, ecc=1.0)).rotated(rotation(4, 3)),
+        _file_shape(tmp_path),
+    ]
+    for i, shape in enumerate(shapes):
+        n = shape.dimension
+        grid = build_grid(n, 24)
+        v = volume(shape, grid)
+        body = shape.indicator(24)
+        for m in range(1, n):
+            bound = ball_bound(m, n, v)
+            assert average_thickness(shape, m, grid) < bound
+            estimate, stderr = thickness_montecarlo(body, m, 100_000, seed=[i, m])
+            assert estimate - 4.0 * stderr <= bound
+    # the planar dumbbell approaches its bound 2 sqrt(A / pi) from below
+    for gamma in (0.5, 0.1, 0.01, 0.001):
+        exact, _ = dumbbell_thickness(DumbbellConfig(2.0, 1.0, gamma), True)
+        assert exact < ball_bound(1, 2, 2.0) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi))
+
+
 @pytest.mark.parametrize(
     "make,m,zonal",
     [
@@ -328,8 +380,8 @@ def test_montecarlo_shell_goes_through_contains(n, m):
 
 def test_montecarlo_raises_on_underestimated_bounding_radius():
     # a spike in g(u_1) narrower than the gap between two scan nodes
-    nodes = np.sort(np.cos(polar_rule(64, 1)[0]))
-    t0 = 0.5 * (nodes[31] + nodes[32])
+    nodes = np.sort(zonal_rule(3, 64)[0])
+    t0 = 0.5 * (nodes[39] + nodes[40])
     shape = StarShape.zonal(3, lambda t: 1.0 + 0.5 * np.exp(-(((t - t0) / 0.004) ** 2)))
     body = shape.indicator()
     assert body.shape.profile is not None
@@ -510,16 +562,17 @@ def test_ball_thickness_property(n, radius):
 def zonal_cases(n):
     # k = 2 (closed form) and k = n - 1 (Newton from n = 4 on)
     stat = stationary_shape(StationaryParams(n=n, m=n - 2, lam=1.2, ecc=0.7))
-    cusp = stationary_shape(StationaryParams(n=n, m=1, lam=0.9, ecc=1.0))
     series = StarShape.cosine_series(n, [1.0, 0.25, -0.1, 0.04])
-    return [StarShape.ball(n, 1.3), series, stat, cusp, series.scaled(1.7), stat.scaled(0.6)]
+    return [StarShape.ball(n, 1.3), series, stat, series.scaled(1.7), stat.scaled(0.6)]
 
 
 @pytest.mark.parametrize("n,resolution", [(3, 40), (4, 20), (5, 12), (6, 8)])
 def test_zonal_rule_matches_forced_tensor_grid(n, resolution):
     grid = build_grid(n, resolution)
-    # the first polar axis of a grid at resolution 2R - 2 is zonal_rule(n, R)
-    full = build_grid(n, 2 * resolution - 2)
+    # a tensor grid fine enough that its own error on these smooth shapes is
+    # below 1e-13 (at 2R - 2 the n = 5 and 6 eggs are off by 8.7e-12 and 2.2e-8)
+    full = build_grid(n, {3: 78, 4: 38, 5: 32, 6: 30}[n])
+    fine_t = np.linspace(-1.0, 1.0, 20001)
     for shape in zonal_cases(n):
         assert shape.profile is not None
         # a plain shape with the same radial function takes the tensor path
@@ -534,9 +587,18 @@ def test_zonal_rule_matches_forced_tensor_grid(n, resolution):
         mom, mom_tensor = moment_vector(shape, grid), moment_vector(tensor, full)
         assert np.abs(mom - mom_tensor).max() <= 1e-13 * v
         assert np.all(mom[1:] == 0.0)
-        # the profile scan visits exactly the u_1 values of the full scan at
-        # 2R - 2 = 16, which capped_resolution leaves alone up to n = 6
-        assert shape.bounding_radius(9) == tensor.bounding_radius(16)
+        # the padded profile scan covers the profile between its nodes
+        assert shape.bounding_radius(9) >= shape.profile(fine_t).max()
+    # the critical cusp, where the tensor rule in u_1 converges only
+    # algebraically: the zonal rule in theta meets the closed form, or
+    # body_properties at its own node count where there is none
+    params = StationaryParams(n=n, m=1, lam=0.9, ecc=1.0)
+    cusp = stationary_shape(params)
+    exact = closed_form(params) or body_properties(params)
+    assert (closed_form(params) is not None) == (n in (3, 5))
+    assert average_thickness(cusp, 1, grid) == pytest.approx(exact.thickness, rel=1e-13)
+    assert volume(cusp, grid) == pytest.approx(exact.volume, rel=1e-13)
+    assert moment_vector(cusp, grid)[0] == pytest.approx(exact.moment, rel=1e-13)
 
 
 def test_rotated_zonal_shape_takes_tensor_path():
