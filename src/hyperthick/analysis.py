@@ -34,7 +34,13 @@ from .errors import (
 from .geometry import DirectionGrid, _check_axis, build_grid, unit_vectors
 from .nsphere import unit_ball_volume, unit_sphere_area
 from .stationary import StationaryParams, _radial_from_cos
-from .thickness import StarShape, _check_pair, _check_section_dim, capped_resolution
+from .thickness import (
+    StarShape,
+    _check_pair,
+    _check_section_dim,
+    capped_resolution,
+    child_rng,
+)
 
 __all__ = [
     "DeformationSample",
@@ -235,8 +241,9 @@ def sphere_optimality_test(
     direction cosines), restores the ball's volume and a centered centroid by
     alternating projection, and reports deltaT = T_perturbed - T_ball. The
     ball maximizes T under these constraints, so deltaT <= 0 is the expected
-    outcome for every trial. Trial randomness derives from (seed, trial), so
-    any subset reproduces. The default resolution is _optimality_resolution(n).
+    outcome for every trial. Trial t draws from child_rng(seed, t), child
+    stream t of the seed, so any subset reproduces. The default resolution
+    is _optimality_resolution(n).
     The comparison baseline is the grid value of the ball's own thickness,
     cancelling what little quadrature rounding there is.
     """
@@ -256,7 +263,7 @@ def sphere_optimality_test(
 
     out = []
     for trial in range(trials):
-        rng = np.random.default_rng([*seed, trial])
+        rng = child_rng(seed, trial)
         p = _random_direction_polynomial(rng, u)
         f = 1.0 + amplitude * p
         f = _project_constraints(f, u, w, n, v_ball)

@@ -42,7 +42,7 @@ from .properties import (
     thickness_via_identity,
 )
 from .stationary import StationaryParams, factorization_residual, profile_curve
-from .thickness import StarShape, average_thickness, thickness_montecarlo
+from .thickness import StarShape, average_thickness, child_rng, thickness_montecarlo
 
 CONFIG_KEYS = {"resolution": int, "samples": int, "tolerance": float}
 
@@ -497,13 +497,13 @@ NULLVECTOR_CASES = [
 @_handle_errors
 def verify_nullvector(cfg, seed, tolerance):
     """Recover (lambda, mu) from boundary samples; reject a non-stationary blob."""
-    check_seed(seed)
+    base = check_seed(seed)
     tolerance = _pick(tolerance, cfg, "tolerance", 1e-5)
     checks = []
     for idx, (name, dim, m, ecc) in enumerate(NULLVECTOR_CASES):
         params = StationaryParams(n=dim, m=m, lam=1.0, ecc=ecc)
         shape = stationary_shape(params)
-        rng = np.random.default_rng([seed, idx])
+        rng = child_rng(base, idx)
         angles = np.empty((dim + 2, dim - 1))
         angles[:, :-1] = rng.uniform(0.2, math.pi - 0.2, size=(dim + 2, dim - 2))
         angles[:, -1] = rng.uniform(0.0, 2.0 * math.pi, size=dim + 2)
@@ -519,7 +519,7 @@ def verify_nullvector(cfg, seed, tolerance):
             {"name": name + "-svratio", "value": ratio, "bound": 1e-8, "pass": ratio < 1e-8}
         )
     blob = StarShape.cosine_series(3, [1.0, 0.2, 0.1])
-    rng = np.random.default_rng([seed, len(NULLVECTOR_CASES)])
+    rng = child_rng(base, len(NULLVECTOR_CASES))
     angles = np.empty((5, 2))
     angles[:, 0] = rng.uniform(0.2, math.pi - 0.2, size=5)
     angles[:, 1] = rng.uniform(0.0, 2.0 * math.pi, size=5)

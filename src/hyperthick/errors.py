@@ -113,8 +113,8 @@ def check_seed(value) -> tuple[int, ...]:
     """A random seed as a tuple of ints, else DomainError.
 
     A seed is a non-negative integer (as check_int takes it, so never bool)
-    or a non-empty list or tuple of them. numpy's default_rng gives the same
-    stream for s and (s,), so the tuple seeds it in either case.
+    or a non-empty list or tuple of them. numpy's SeedSequence gives the
+    same streams for s and (s,), so the tuple seeds it in either case.
     """
     items = value if isinstance(value, (list, tuple)) else (value,)
     if not items:

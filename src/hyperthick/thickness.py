@@ -37,11 +37,22 @@ from its exact marginal, with two uniforms per sample at every n. Other
 bodies draw each batch of directions component-major, an (n, B) Gaussian
 array whose columns are normalised in place; those that are not star-shaped
 get the points r u and their own membership test.
+
+The samples are split over MC_LANES lanes, each drawing from its own child
+stream of the seed (child_rng), and the lanes run on as many threads as the
+process has CPUs: the calling thread and workers started for the call. The
+lanes' integer hit counts are summed, so an estimate depends on the seed, the
+sample count and the body alone, never on the number of CPUs. A body's
+radial function, profile and membership test may therefore be called from
+several threads at once; every shape the library builds is pure numpy and
+safe to share.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,11 +88,18 @@ __all__ = [
     "volume",
 ]
 
-# Monte Carlo samples drawn and tested per batch. With glibc on Linux, 2^16
-# or 2^15 made a 2e6-sample call at n = 6 take about 24,000 minor page faults
-# (the batch arrays returned to the system and touched afresh each batch);
-# at 2^14 the allocator keeps reusing them and the call takes none.
+# Monte Carlo samples drawn and tested per batch of one lane. With glibc on
+# Linux, 2^16 or 2^15 made a 2e6-sample call at n = 6 take about 24,000 minor
+# page faults (the batch arrays returned to the system and touched afresh each
+# batch); at 2^14 the allocator keeps reusing them and the call takes none.
+# A worker thread is started only for at least one batch of samples.
 MC_CHUNK = 1 << 14
+
+# Independent streams a Monte Carlo call splits its samples over: lane i
+# takes samples // MC_LANES + (i < samples % MC_LANES) of them from
+# child_rng(seed, i). Fixed, so estimates do not depend on the CPU count,
+# and a power of two, so 1, 2, 4 and 8 workers share the lanes evenly.
+MC_LANES = 8
 
 # bounding_radius pads its scan maximum by this factor to cover excursions
 # between scan nodes; an overestimate only costs Monte Carlo acceptance
@@ -124,7 +142,9 @@ class StarShape:
     return the (B,) array of boundary radii. Radii are validated to be
     positive and finite on every evaluation; continuity is assumed.
     ``profile`` is None, except for zonal shapes (see zonal), where it is
-    the radius as a function of u_1 alone.
+    the radius as a function of u_1 alone. thickness_montecarlo may call
+    ``radial_fn`` and ``profile`` from several threads at once, so they must
+    not mutate shared state; every shape the library builds is pure numpy.
     """
 
     def __init__(self, dimension: int, radial_fn: Callable, name: str = "custom"):
@@ -286,6 +306,7 @@ class IndicatorBody:
     body that is star-shaped about the origin (StarShape.indicator sets it),
     and thickness_montecarlo then tests radii against the shape's radial
     function, or its profile if it is zonal, instead of calling ``contains``.
+    Like those, ``contains`` may be called from several threads at once.
     """
 
     dimension: int
@@ -386,6 +407,65 @@ def _axial_cosines(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return t
 
 
+def child_rng(seed: tuple[int, ...], index: int) -> np.random.Generator:
+    """Generator of child stream ``index`` of a checked seed (check_seed).
+
+    The stream is that of SeedSequence(seed).spawn(index + 1)[index], built
+    directly, so any one child reproduces alone. A spawn key is mixed in
+    apart from the seed words, so no child of one seed is a child of
+    another: default_rng([*seed, index]) was not, since numpy pads seed
+    words with zeros and child i of seed s was then child 0 of seed (s, i).
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: the most threads a Monte Carlo call uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+def _run_lanes(lane: Callable, tasks: list, workers: int, stop: threading.Event) -> list:
+    """[lane(*task) for task in tasks], computed on ``workers`` threads.
+
+    The calling thread is one worker; the others are started here, take
+    tasks from the same list and are joined before this returns or raises.
+    The first exception raised in any lane sets ``stop``, which the lanes
+    poll between batches, and is re-raised unchanged once every thread has
+    ended.
+    """
+    results = [None] * len(tasks)
+    pending = list(range(len(tasks)))
+    errors = []
+
+    def work():
+        try:
+            while not stop.is_set():
+                try:
+                    k = pending.pop()  # atomic: no two workers take one task
+                except IndexError:
+                    return
+                results[k] = lane(*tasks[k])
+        except BaseException as exc:  # re-raised below, on the calling thread
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            threads.append(threading.Thread(target=work, daemon=True))
+            threads[-1].start()
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def thickness_montecarlo(
     body: IndicatorBody, m: int, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -397,8 +477,17 @@ def thickness_montecarlo(
     Bernoulli mean, so its variance is bounded and the binomial stderr is a
     valid error bar for every 1 <= m < n. For any body its expectation is
     m V_m / S_{n-1} times the integral of |x|^(m-n) over the body.
-    Deterministic for a fixed seed: a non-negative integer or a non-empty
-    list or tuple of them.
+
+    The samples are split over MC_LANES lanes, lane i drawing from
+    child_rng(seed, i), and the lanes run on up to one thread per CPU, the
+    calling thread among them, with no more threads than lanes holding
+    samples or batches of MC_CHUNK samples. The hit counts of the lanes are
+    summed, so the result is a function of (seed, samples, body) alone,
+    whatever the CPU count: deterministic for a fixed seed, a non-negative
+    integer or a non-empty list or tuple of them. The body's radial
+    function, profile or ``contains`` may be called from several threads at
+    once. The first exception raised in any lane stops the others at their
+    next batch and is re-raised once every thread has ended.
 
     For a zonal ``body.shape`` a point is inside when r <= g(u_1), with g
     the shape's profile, and only u_1 is drawn (see _axial_cosines).
@@ -410,37 +499,47 @@ def thickness_montecarlo(
     n = body.dimension
     m = _check_section_dim(m, n)
     samples = check_int(samples, "samples", 1)
-    rng = np.random.default_rng(check_seed(seed))
+    seed = check_seed(seed)
     radius = float(body.bounding_radius)
     coef = unit_ball_volume(m) * radius**m
     shape = body.shape
+    zonal = shape is not None and shape.profile is not None
+    stop = threading.Event()
 
-    hits = 0
-    done = 0
-    while done < samples:
-        c = min(MC_CHUNK, samples - done)
-        if shape is not None and shape.profile is not None:
-            f = shape._profile_radii(_axial_cosines(rng, n, c))
-        else:
-            # component-major (n, c): the norm and the radial test loop over
-            # rows of length c, not over the n = 2-6 components of each point
-            u = rng.standard_normal((n, c))
-            u /= np.sqrt(np.einsum("ij,ij->j", u, u))
-            f = None if shape is None else shape.radial(u.T)
-        r = radius * (1.0 - rng.random(c)) ** (1.0 / m)
-        if f is None:
-            u *= r
-            inside = body.contains(u.T)
-        else:
-            top = float(f.max())
-            if top > radius:
-                raise DomainError(
-                    f"the body reaches radius {top!r}, beyond its bounding radius "
-                    f"{radius!r}: the bounding radius is underestimated"
-                )
-            inside = r <= f
-        hits += int(np.count_nonzero(inside))
-        done += c
+    def lane(index: int, count: int) -> int:
+        rng = child_rng(seed, index)
+        hits = done = 0
+        while done < count and not stop.is_set():
+            c = min(MC_CHUNK, count - done)
+            if zonal:
+                f = shape._profile_radii(_axial_cosines(rng, n, c))
+            else:
+                # component-major (n, c): the norm and the radial test loop over
+                # rows of length c, not over the n = 2-6 components of each point
+                u = rng.standard_normal((n, c))
+                u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+                f = None if shape is None else shape.radial(u.T)
+            r = radius * (1.0 - rng.random(c)) ** (1.0 / m)
+            if f is None:
+                u *= r
+                inside = body.contains(u.T)
+            else:
+                top = float(f.max())
+                if top > radius:
+                    raise DomainError(
+                        f"the body reaches radius {top!r}, beyond its bounding radius "
+                        f"{radius!r}: the bounding radius is underestimated"
+                    )
+                inside = r <= f
+            hits += int(np.count_nonzero(inside))
+            done += c
+        return hits
+
+    # lanes with no samples make no draw
+    tasks = [(i, samples // MC_LANES + (i < samples % MC_LANES))
+             for i in range(min(samples, MC_LANES))]
+    workers = min(_worker_count(), len(tasks), -(-samples // MC_CHUNK))
+    hits = sum(_run_lanes(lane, tasks, workers, stop))
     if hits == 0:
         raise InsufficientSamplingError(
             f"no sample of {samples} landed inside the body; "

@@ -19,7 +19,12 @@ from hyperthick import (
     unit_sphere_area,
     unit_vectors,
 )
-from hyperthick.analysis import _far_disc_factor
+from hyperthick.analysis import (
+    _far_disc_factor,
+    _optimality_resolution,
+    _project_constraints,
+    _random_direction_polynomial,
+)
 from hyperthick.errors import DomainError, GeometryError, RankError
 
 
@@ -215,6 +220,21 @@ def test_optimality_trials_reproduce_by_index():
     first = sphere_optimality_test(3, 1, trials=3, amplitude=0.05, seed=9)
     again = sphere_optimality_test(3, 1, trials=5, amplitude=0.05, seed=9)
     assert first == again[:3]
+
+
+def test_optimality_trial_is_not_a_trial_of_another_seed():
+    # with the trial index appended to the seed words, numpy's zero padding
+    # made trial 2 of seed 5 trial 0 of seed (5, 2)
+    trial_2 = sphere_optimality_test(3, 1, trials=3, amplitude=0.05, seed=5)[2][1]
+    other = sphere_optimality_test(3, 1, trials=1, amplitude=0.05, seed=[5, 2])[0][1]
+    assert trial_2 != other
+    # trial t draws from spawned child t alone, so it reproduces on its own
+    u, w = build_grid(3, _optimality_resolution(3)).nodes()
+    child = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2])
+    f = 1.0 + 0.05 * _random_direction_polynomial(child, u)
+    f = _project_constraints(f, u, w, 3, unit_ball_volume(3))
+    coef = unit_ball_volume(1) / unit_sphere_area(2)
+    assert coef * float(np.dot(f, w)) - coef * float(w.sum()) == trial_2
 
 
 def test_optimality_validation():

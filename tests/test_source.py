@@ -58,3 +58,18 @@ def test_library_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_cold_monte_carlo_imports_no_pool_and_leaves_no_thread():
+    # the CLI's cold start pays for every module a Monte Carlo call pulls
+    # in; its lanes run on plain threads, all joined before it returns
+    code = (
+        "import sys, threading, hyperthick.cli\n"
+        "from hyperthick import StarShape, thickness_montecarlo\n"
+        "thickness_montecarlo(StarShape.ball(3).indicator(8), 2, 100_000, 1)\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules),"
+        " threading.active_count())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+    assert out.stdout.strip() == "[] 1"

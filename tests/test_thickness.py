@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,10 +29,11 @@ from hyperthick import (
     unit_vectors,
     volume,
 )
+import hyperthick.thickness as thickness_module
 from hyperthick.cli import parse_shape
 from hyperthick.errors import BudgetError, DomainError, InsufficientSamplingError
 from hyperthick.geometry import zonal_rule
-from hyperthick.thickness import _axial_cosines
+from hyperthick.thickness import MC_CHUNK, MC_LANES, _axial_cosines, child_rng
 
 
 def rotation(n: int, seed: int) -> np.ndarray:
@@ -378,23 +382,181 @@ def test_montecarlo_shell_goes_through_contains(n, m):
     assert abs(estimate - unit_ball_volume(m) * (b**m - a**m)) < 4.0 * stderr
 
 
-def test_montecarlo_raises_on_underestimated_bounding_radius():
+def test_montecarlo_raises_on_underestimated_bounding_radius(monkeypatch):
     # a spike in g(u_1) narrower than the gap between two scan nodes
     nodes = np.sort(zonal_rule(3, 64)[0])
     t0 = 0.5 * (nodes[39] + nodes[40])
     shape = StarShape.zonal(3, lambda t: 1.0 + 0.5 * np.exp(-(((t - t0) / 0.004) ** 2)))
-    body = shape.indicator()
-    assert body.shape.profile is not None
-    assert body.bounding_radius < 1.1
-    with pytest.raises(DomainError, match="bounding radius"):
-        thickness_montecarlo(body, 2, 100_000, seed=1)
+    spiked = shape.indicator()
+    assert spiked.shape.profile is not None
+    assert spiked.bounding_radius < 1.1
     # the same check on the direction-vector path: a radius set by hand
     # below the 1.3 that a rotated series reaches
     rotated = StarShape.cosine_series(4, [1.0, 0.3]).rotated(rotation(4, 1))
-    body = dataclasses.replace(rotated.indicator(16), bounding_radius=1.0)
-    assert body.shape is not None and body.shape.profile is None
-    with pytest.raises(DomainError, match="bounding radius"):
-        thickness_montecarlo(body, 2, 100_000, seed=1)
+    low = dataclasses.replace(rotated.indicator(16), bounding_radius=1.0)
+    assert low.shape is not None and low.shape.profile is None
+    # on one worker and on two, whose threads are all joined before the raise
+    for workers in (1, 2):
+        monkeypatch.setattr(thickness_module, "_worker_count", lambda: workers)
+        for body in (spiked, low):
+            before = threading.active_count()
+            with pytest.raises(DomainError, match="bounding radius"):
+                thickness_montecarlo(body, 2, 100_000, seed=1)
+            assert threading.active_count() == before
+
+
+def _joined(fn, *args):
+    """fn(*args) on a thread joined with a timeout, so a hang fails the test."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=120.0)
+    assert not thread.is_alive(), "Monte Carlo call did not return"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _shell(a, b):
+    def contains(points):
+        rr = np.einsum("ij,ij->i", points, points)
+        return (a * a <= rr) & (rr <= b * b)
+
+    return contains
+
+
+def test_montecarlo_does_not_depend_on_the_worker_count(monkeypatch):
+    # more workers than cores, and a thread switch after nearly every
+    # bytecode, still give the same bytes: lanes own their streams and only
+    # integer hit counts are summed
+    samples = 2 * MC_LANES * MC_CHUNK + 12_345  # uneven lanes of 2-3 batches
+    cases = [
+        ("zonal profile", StarShape.cosine_series(4, [1.0, 0.3, -0.15]).indicator(), 2),
+        ("direction radial",
+         StarShape.cosine_series(4, [1.0, 0.3, 0.1]).rotated(rotation(4, 2)).indicator(16), 3),
+        ("contains only", IndicatorBody(3, _shell(0.6, 1.1), 1.1), 1),
+        ("n = 2", StarShape.cosine_series(2, [1.0, 0.2], [0.1, -0.05]).indicator(16), 1),
+    ]
+    assert cases[0][1].shape.profile is not None and cases[1][1].shape.profile is None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for label, body, m in cases:
+            seen = set()
+            for workers in (1, 2, 4, 8):
+                monkeypatch.setattr(thickness_module, "_worker_count", lambda: workers)
+                before = threading.active_count()
+                est, err = _joined(thickness_montecarlo, body, m, samples, [7, m])
+                assert threading.active_count() == before
+                seen.add((est.hex(), err.hex()))
+            assert len(seen) == 1, (label, seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("raiser", ["calling thread", "started thread"])
+def test_montecarlo_lane_error_stops_every_lane(monkeypatch, raiser):
+    # the first error of any lane reaches the caller unchanged, after the
+    # other lanes stopped at their next batch and every thread was joined
+    monkeypatch.setattr(thickness_module, "_worker_count", lambda: 2)
+    samples = 16 * MC_LANES * MC_CHUNK
+    caller = {}
+    others = []
+
+    def contains(points):
+        mine = threading.current_thread() is caller["thread"]
+        if mine == (raiser == "calling thread"):
+            raise ValueError("membership test failed")
+        others.append(points.shape[0])
+        time.sleep(0.002)
+        return np.ones(points.shape[0], dtype=bool)
+
+    def call():
+        caller["thread"] = threading.current_thread()
+        return thickness_montecarlo(IndicatorBody(3, contains, 1.0), 1, samples, seed=4)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^membership test failed$"):
+        _joined(call)
+    assert threading.active_count() == before
+    # run to the end, the lanes would have made 128 batches, 64 per worker
+    assert len(others) < 32
+
+
+def test_montecarlo_small_sample_counts(monkeypatch):
+    # lanes with no samples make no draw and every sample is tested once;
+    # a body that holds every point gives p = 1 exactly, and a padded ball
+    # (p = 0.907, so 7 samples all miss with chance 6e-8) the same bytes on
+    # one worker and on eight
+    drawn = []
+
+    def counted_rng(seed, index):
+        drawn.append(index)
+        return child_rng(seed, index)
+
+    monkeypatch.setattr(thickness_module, "child_rng", counted_rng)
+    tested = []
+    everything = IndicatorBody(3, lambda p: tested.append(len(p)) or np.ones(len(p), bool), 1.0)
+    ball = StarShape.ball(3, 1.0).indicator(8)
+    for samples in (1, MC_LANES - 1, MC_LANES, MC_LANES + 1, MC_CHUNK + 1):
+        results = set()
+        for workers in (1, 8):
+            monkeypatch.setattr(thickness_module, "_worker_count", lambda: workers)
+            drawn.clear()
+            tested.clear()
+            assert thickness_montecarlo(everything, 2, samples, seed=3) == (math.pi, 0.0)
+            assert sorted(drawn) == list(range(min(samples, MC_LANES)))
+            assert sum(tested) == samples
+            if samples > 1:
+                results.add(thickness_montecarlo(ball, 2, samples, seed=3))
+        if samples > 1:
+            (est, err), = results
+            assert math.isfinite(est) and math.isfinite(err)
+
+
+def test_montecarlo_starts_threads_only_for_a_batch_per_worker(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    body = StarShape.ball(3, 1.0).indicator(8)
+    # one worker, however many samples; eight CPUs, but one batch in all
+    for workers, samples, threads in ((1, 4 * MC_CHUNK, 0), (8, MC_CHUNK, 0),
+                                      (8, MC_CHUNK + 1, 1), (8, 3 * MC_CHUNK, 2)):
+        monkeypatch.setattr(thickness_module, "_worker_count", lambda: workers)
+        started.clear()
+        thickness_montecarlo(body, 2, samples, seed=0)
+        assert len(started) == threads, (workers, samples)
+        assert not any(thread.is_alive() for thread in started)
+
+
+def test_child_streams_are_disjoint_across_seeds():
+    # numpy pads seed words with zeros, so default_rng([5, 1]) is
+    # default_rng([5, 1, 0]): appending the child index to the seed made
+    # child 1 of seed 5 child 0 of seed (5, 1). Spawn keys do not.
+    assert np.array_equal(np.random.default_rng([5, 1]).random(4),
+                          np.random.default_rng([5, 1, 0]).random(4))
+    # (5, 0) is seed 5 itself, to numpy as to every stream drawn from it
+    heads = {}
+    for seed in [(5,)] + [(5, i) for i in range(1, MC_LANES)]:
+        for lane in range(MC_LANES):
+            heads[seed, lane] = child_rng(seed, lane).random(4).tobytes()
+    assert len(set(heads.values())) == len(heads)
+    # child i is the i-th spawned child, so any one reproduces alone
+    spawned = np.random.SeedSequence((5,)).spawn(MC_LANES)
+    for lane in range(MC_LANES):
+        assert np.random.default_rng(spawned[lane]).random(4).tobytes() == heads[(5,), lane]
 
 
 def test_montecarlo_rotated_six_dimensional_shape():
